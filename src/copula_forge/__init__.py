@@ -48,11 +48,9 @@ from .numerics import (
     RandomStream,
     aligned_panels,
     bisect,
-    eval_grid,
     gauss_axis,
     integrate_1d,
     integrate_2d,
-    thread_limit,
 )
 from .properties import (
     PROPERTY_KEYS,
@@ -119,10 +117,8 @@ __all__ = [
     "BracketError",
     "ConvergenceError",
     "RandomStream",
-    "thread_limit",
     "integrate_1d",
     "integrate_2d",
-    "eval_grid",
     "gauss_axis",
     "aligned_panels",
     "bisect",

@@ -220,6 +220,11 @@ def _check_positive(name: str, value: int, minimum: int) -> None:
         raise _CliError(2, "argument", f"{name} must be at least {minimum}")
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0):  # also refuses NaN
+        raise _CliError(2, "argument", "--tol must be positive")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -273,8 +278,7 @@ def _fmt_witness(w) -> str:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     _check_positive("--grid", args.grid, 3)
-    if args.tol <= 0.0:
-        raise _CliError(2, "argument", "--tol must be positive")
+    _check_tol(args.tol)
     gen = _make_generator(args)
     report = validate(gen, grid_points=args.grid, tol=args.tol)
     if args.format == "json":
@@ -434,8 +438,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     _check_positive("--grid", args.grid, 3)
     _check_positive("--resolution", args.resolution, 16)
-    if args.tol <= 0.0:
-        raise _CliError(2, "argument", "--tol must be positive")
+    _check_tol(args.tol)
     gen = _make_generator(args)
     cop = _make_copula(gen, args.theta)
     report = dependence_profile(gen, args.theta, grid=args.grid, tol=args.tol)

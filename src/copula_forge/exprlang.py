@@ -12,22 +12,27 @@ Grammar (user-facing), in one variable ``x``:
             | '(' expr ')'
 
 Numbers are decimal literals with optional fraction and exponent.  Error
-offsets are 1-based byte positions into the source string.
+offsets are 1-based byte positions into the source string.  Trees deeper than
+MAX_DEPTH, and nesting of parentheses, calls, signs and exponents deeper than
+MAX_DEPTH, are syntax errors: evaluation, differentiation and printing recurse
+once per level, and the cap keeps their second derivatives inside Python's
+default recursion limit.
 
 Derivatives are symbolic.  min, max and abs differentiate piecewise with the
 LEFT branch chosen on the tie set, carried by an internal selector node that
 prints as ``ifle(a, b, p, q)`` (p where a <= b, else q).  The power rule for
 a variable base and exponent needs a logarithm, carried by an internal
 ``ln(t)`` node.  Both internal forms re-parse, so printing and parsing round
-trip for every expression this module can produce, but neither is part of
-the advertised input grammar.
+trip for every expression this module can produce within the depth cap
+(a derivative can be deeper than its input), but neither is part of the
+advertised input grammar.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, fields
+from typing import Callable
 
 __all__ = [
     "Expression",
@@ -44,7 +49,10 @@ __all__ = [
     "evaluate",
     "differentiate",
     "to_source",
+    "MAX_DEPTH",
 ]
+
+MAX_DEPTH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +220,20 @@ def _tokenize(source: str) -> list[_Token]:
 
 _ATOM_EXPECTED = frozenset({"number", "'x'", "'pi'", "'e'", "function", "'('", "'-'"})
 
+def _too_deep(tok: _Token) -> ExpressionSyntaxError:
+    return ExpressionSyntaxError(
+        f"expression nests deeper than {MAX_DEPTH} levels",
+        tok.pos,
+        frozenset({"a shallower expression"}),
+    )
+
 
 class _Parser:
     def __init__(self, source: str) -> None:
         self._tokens = _tokenize(source)
         self._i = 0
+        self._nesting = 0  # open _unary calls: bounds the parser's own recursion
+        self._depths: dict[int, int] = {}  # id of each inner node -> its depth
 
     def _peek(self) -> _Token:
         return self._tokens[self._i]
@@ -240,6 +257,23 @@ class _Parser:
             f"expected {text!r}", tok.pos, frozenset({f"'{text}'"})
         )
 
+    def _node(self, tok: _Token, node: Expression) -> Expression:
+        """Record the depth of a new inner node whose operator is tok.
+
+        Leaves count 1.  Every node of the tree stays alive while parsing,
+        so the ids are unique.  Fields are read with getattr: reading
+        ``vars(node)`` would give the node a real ``__dict__`` and slow every
+        later attribute read in ``evaluate``.
+        """
+        children = [getattr(node, f.name) for f in fields(node)]
+        depth = 1 + max(
+            self._depths.get(id(c), 1) for c in children if isinstance(c, Expression)
+        )
+        if depth > MAX_DEPTH:
+            raise _too_deep(tok)
+        self._depths[id(node)] = depth
+        return node
+
     def parse(self) -> Expression:
         node = self._expr()
         tok = self._peek()
@@ -257,7 +291,7 @@ class _Parser:
             tok = self._match_op("+", "-")
             if tok is None:
                 return node
-            node = Binary(tok.text, node, self._term())
+            node = self._node(tok, Binary(tok.text, node, self._term()))
 
     def _term(self) -> Expression:
         node = self._unary()
@@ -265,18 +299,36 @@ class _Parser:
             tok = self._match_op("*", "/")
             if tok is None:
                 return node
-            node = Binary(tok.text, node, self._unary())
+            node = self._node(tok, Binary(tok.text, node, self._unary()))
 
     def _unary(self) -> Expression:
-        if self._match_op("-"):
-            return Unary("neg", self._unary())
-        return self._power()
+        self._nesting += 1
+        if self._nesting > MAX_DEPTH:
+            raise _too_deep(self._peek())
+        tok = self._match_op("-")
+        if tok is None:
+            node = self._power()
+        else:
+            node = self._node(tok, Unary("neg", self._unary()))
+        self._nesting -= 1
+        return node
 
     def _power(self) -> Expression:
         base = self._atom()
-        if self._match_op("^", "**"):
-            return Binary("^", base, self._unary())
-        return base
+        tok = self._match_op("^", "**")
+        if tok is None:
+            return base
+        return self._node(tok, Binary("^", base, self._unary()))
+
+    def _args(self, count: int) -> list[Expression]:
+        """A parenthesised, comma-separated list of count expressions."""
+        self._expect_op("(")
+        args = [self._expr()]
+        for _ in range(count - 1):
+            self._expect_op(",")
+            args.append(self._expr())
+        self._expect_op(")")
+        return args
 
     def _atom(self) -> Expression:
         tok = self._peek()
@@ -298,28 +350,11 @@ class _Parser:
             if name in _CONSTANTS:
                 return Num(_CONSTANTS[name])
             if name in _UNARY_FUNCS:
-                self._expect_op("(")
-                arg = self._expr()
-                self._expect_op(")")
-                return Unary(name, arg)
+                return self._node(tok, Unary(name, *self._args(1)))
             if name in ("min", "max"):
-                self._expect_op("(")
-                lhs = self._expr()
-                self._expect_op(",")
-                rhs = self._expr()
-                self._expect_op(")")
-                return Binary(name, lhs, rhs)
+                return self._node(tok, Binary(name, *self._args(2)))
             if name == "ifle":
-                self._expect_op("(")
-                a = self._expr()
-                self._expect_op(",")
-                b = self._expr()
-                self._expect_op(",")
-                low = self._expr()
-                self._expect_op(",")
-                high = self._expr()
-                self._expect_op(")")
-                return Branch(a, b, low, high)
+                return self._node(tok, Branch(*self._args(4)))
             raise UnknownIdentifierError(name, tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self._advance()
@@ -514,13 +549,28 @@ def differentiate(expr: Expression) -> Expression:
     branch written first (a for min/max, the non-negated branch for abs) is
     the one whose derivative is used.  The result is an ordinary expression:
     evaluating it at a kink yields the left-branch one-sided derivative.
+    A subtree that occurs more than once is differentiated once and shared,
+    so repeated differentiation of abs(...) nests costs linear, not
+    exponential, time.
     """
+    memo: dict[int, Expression] = {}  # id of an input node -> its derivative
+
+    def d(node: Expression) -> Expression:
+        key = id(node)
+        if key not in memo:
+            memo[key] = _derive(node, d)
+        return memo[key]
+
+    return d(expr)
+
+
+def _derive(expr: Expression, d: Callable[[Expression], Expression]) -> Expression:
     if isinstance(expr, Num):
         return _ZERO
     if isinstance(expr, Var):
         return _ONE
     if isinstance(expr, Unary):
-        du = differentiate(expr.arg)
+        du = d(expr.arg)
         u = expr.arg
         op = expr.op
         if op == "neg":
@@ -539,8 +589,8 @@ def differentiate(expr: Expression) -> Expression:
         raise AssertionError(f"unhandled unary op {op!r}")
     if isinstance(expr, Binary):
         a, b = expr.lhs, expr.rhs
-        da = differentiate(a)
-        db = differentiate(b)
+        da = d(a)
+        db = d(b)
         op = expr.op
         if op == "+":
             return _add(da, db)
@@ -564,7 +614,7 @@ def differentiate(expr: Expression) -> Expression:
             return Branch(b, a, da, db)
         raise AssertionError(f"unhandled binary op {op!r}")
     if isinstance(expr, Branch):
-        return Branch(expr.a, expr.b, differentiate(expr.low), differentiate(expr.high))
+        return Branch(expr.a, expr.b, d(expr.low), d(expr.high))
     raise TypeError(f"not an expression node: {expr!r}")
 
 

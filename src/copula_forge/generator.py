@@ -416,7 +416,7 @@ def validate(gen: Generator, grid_points: int = 4097, tol: float = 1e-9) -> Vali
     """
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    if tol <= 0.0:
+    if not (tol > 0.0):  # also refuses NaN
         raise ValueError("tol must be positive")
     step = 1.0 / (grid_points - 1)
     xs = [i * step for i in range(grid_points)]

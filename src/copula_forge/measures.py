@@ -18,9 +18,9 @@ Two independent routes are kept deliberately separate:
       tau   =  4 * int int C(u,v) c(u,v) du dv - 1
       rho   = 12 * int int C(u,v) du dv - 3
 
-  pointwise from cdf/density on a composite tensor Gauss-Legendre grid and
-  never touches the factorized forms, so the two routes cross-check each
-  other.
+  from the copula's cdf/density formulas on a composite tensor
+  Gauss-Legendre grid and never touches the factorized forms, so the two
+  routes cross-check each other.
 
 ``empirical_tau`` (Knight's O(n log n) inversion count, ties contribute
 zero) and ``empirical_rho`` (Pearson correlation of average ranks) estimate
@@ -36,14 +36,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .copula import Copula, KinkPointError, SamplePairs
-from .numerics import (
-    QuadratureConfig,
-    aligned_panels,
-    eval_grid,
-    gauss_axis,
-    integrate_1d,
-)
+from .copula import Copula, SamplePairs
+from .numerics import QuadratureConfig, aligned_panels, gauss_axis, integrate_1d
 
 __all__ = [
     "AssociationMeasures",
@@ -115,28 +109,21 @@ def closed_form_measures(cop: Copula, abs_tol: float = 1e-12) -> AssociationMeas
 
 def density_grid(cop: Copula, xs: np.ndarray) -> np.ndarray:
     """Density values on the tensor grid xs x xs, kink nodes nudged one ulp."""
-
-    def point(u: float, v: float) -> float:
-        try:
-            return cop.density(u, v)
-        except KinkPointError:
-            return cop.density(math.nextafter(u, 1.0), math.nextafter(v, 1.0))
-
-    return eval_grid(point, xs, xs)
+    return cop.density_grid(xs)
 
 
 def quadrature_measures(cop: Copula, resolution: int = 512) -> AssociationMeasures:
     """sigma/tau/rho from their defining double integrals.
 
-    Both C and c are evaluated pointwise through the copula's own cdf and
-    density on a resolution^2 composite Gauss-Legendre grid; nothing from
-    the closed-form route is reused.
+    Both C and c come from the copula's own cdf and density formulas on a
+    resolution^2 composite Gauss-Legendre grid; nothing from the
+    closed-form route is reused.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
     xs, ws = gauss_axis(resolution, aligned_panels(resolution))
-    cgrid = eval_grid(cop.cdf, xs, xs)
-    dgrid = density_grid(cop, xs)
+    cgrid = cop.cdf_grid(xs)
+    dgrid = cop.density_grid(xs)
     weights = np.outer(ws, ws)
     uv = np.outer(xs, xs)
     sigma = 12.0 * float(np.sum(weights * np.abs(cgrid - uv)))

@@ -15,16 +15,13 @@ Quadrature comes in two flavours.  ``integrate_1d`` is adaptive Simpson with
 explicit breakpoint splitting for integrands with known kinks.
 ``integrate_2d`` is a composite tensor Gauss-Legendre rule over [0,1]^2:
 ``panels_per_axis`` uniform panels per axis with Gauss nodes inside each
-panel.  Cell values are accumulated into one fixed-shape array and reduced by
-a single numpy pairwise sum, so the result is bit-identical regardless of how
-many worker threads filled the array.
+panel.  Cell values fill one fixed-shape array that a single numpy pairwise
+sum reduces, so the result depends only on the integrand and the rule.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,7 +33,6 @@ __all__ = [
     "BracketError",
     "ConvergenceError",
     "RandomStream",
-    "thread_limit",
     "integrate_1d",
     "integrate_2d",
     "eval_grid",
@@ -56,18 +52,6 @@ class BracketError(ValueError):
 
 class ConvergenceError(ArithmeticError):
     """Iteration cap reached before the tolerance was met."""
-
-
-def thread_limit() -> int:
-    """Worker cap for grid evaluation, read from COPULA_FORGE_THREADS.
-
-    Defaults to 1: results never depend on this value, only wall time does.
-    """
-    raw = os.environ.get("COPULA_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -200,42 +184,23 @@ def eval_grid(
     f: Callable[[float, float], float],
     xs: Sequence[float],
     ys: Sequence[float],
-    threads: int | None = None,
 ) -> np.ndarray:
-    """Evaluate a scalar function on the cartesian grid xs x ys.
-
-    Rows may be filled concurrently (threads > 1); each cell lands at a fixed
-    index so downstream reductions are schedule-independent.
-    """
-    nx, ny = len(xs), len(ys)
-    vals = np.empty((nx, ny), dtype=float)
+    """Evaluate a scalar function on the cartesian grid xs x ys, cell by cell."""
     ylist = [float(y) for y in ys]
-
-    def fill(i: int) -> None:
-        x = float(xs[i])
-        row = vals[i]
-        for j, y in enumerate(ylist):
-            row[j] = f(x, y)
-
-    workers = thread_limit() if threads is None else max(1, threads)
-    if workers > 1 and nx > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(nx)))
-    else:
-        for i in range(nx):
-            fill(i)
+    vals = np.empty((len(xs), len(ylist)), dtype=float)
+    for i, x in enumerate(xs):
+        vals[i] = [f(float(x), y) for y in ylist]
     return vals
 
 
 def integrate_2d(
     f: Callable[[float, float], float],
     config: QuadratureConfig | None = None,
-    threads: int | None = None,
 ) -> float:
     """Integrate f over the unit square with the configured composite rule."""
     cfg = config or QuadratureConfig()
     xs, ws = gauss_axis(cfg.nodes_per_axis, cfg.panels_per_axis)
-    vals = eval_grid(f, xs, xs, threads=threads)
+    vals = eval_grid(f, xs, xs)
     weighted = vals * np.outer(ws, ws)
     return float(np.sum(weighted))
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -164,10 +163,41 @@ def test_validate_syntax_error(capsys):
     assert payload["error"]["expected"] == ["')'"]
 
 
+@pytest.mark.parametrize(
+    "source",
+    ["(" * 200 + "x*(1-x)" + ")" * 200, "x*(1-x)" + "+0.0001*x*(1-x)" * 1500],
+    ids=["parentheses", "chain"],
+)
+def test_validate_too_deep_is_a_syntax_error(capsys, source):
+    code, out, err = run_main(
+        capsys, ["validate", "--phi-expr", source, "--format", "json"]
+    )
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"]["kind"] == "syntax"
+    assert "deeper than" in payload["error"]["message"]
+
+
 def test_validate_unknown_identifier(capsys):
     code, _, err = run_main(capsys, ["validate", "--phi-expr", "tan(x)"])
     assert code == 2
     assert "tan" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--phi-expr", "sin(pi*x)"],
+        ["check", "--phi", "phi2", "--theta", "0.5"],
+    ],
+    ids=["validate", "check"],
+)
+def test_nan_tol_is_an_argument_error(capsys, argv):
+    code, out, err = run_main(capsys, [*argv, "--tol", "nan", "--format", "json"])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"]["kind"] == "argument"
+    assert "--tol" in payload["error"]["message"]
 
 
 def test_validate_domain_error_is_exit_one(capsys):
@@ -355,15 +385,11 @@ def test_sample_missing_n_is_usage_error(capsys):
 # subprocess-level reproducibility
 
 
-def _run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def _run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "copula_forge.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -382,14 +408,3 @@ def test_sample_bytes_stable_across_processes():
     second = _run_cli(args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-
-
-def test_quadrature_bytes_stable_across_thread_counts():
-    args = [
-        "measures", "--phi", "phi1", "--theta", "1.0",
-        "--method", "quad", "--resolution", "128", "--format", "json",
-    ]
-    single = _run_cli(args, {"COPULA_FORGE_THREADS": "1"})
-    multi = _run_cli(args, {"COPULA_FORGE_THREADS": "4"})
-    assert single.returncode == multi.returncode == 0
-    assert single.stdout == multi.stdout

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from copula_forge.copula import Copula, KinkPointError, SamplePairs, ThetaRangeError
 from copula_forge.generator import GeneratorValidationError, builtin, from_expression
-from copula_forge.numerics import QuadratureConfig, integrate_2d
+from copula_forge.numerics import QuadratureConfig, RandomStream, integrate_2d
+
+from conftest import random_valid_expression_generators
 
 FGM = builtin("phi2")
 
@@ -86,6 +89,52 @@ def test_density_kink_refusal():
         cop5.density(0.75, 0.1)
     # off-kink is fine
     assert cop.density(0.4999, 0.25) > 0.0
+
+
+GRID_GENERATORS = (
+    builtin("phi1"),
+    builtin("phi2"),
+    builtin("phi3"),
+    builtin("phi4"),
+    *(builtin("phi5", n) for n in (1, 2, 3, 4, 32)),
+    *(builtin("phi6", n) for n in (2, 5)),
+    random_valid_expression_generators(1)[0],
+)
+
+
+def _grid_nodes(gen, seed: int) -> list[float]:
+    """Random nodes plus 0, 1/2, 1 and every kink."""
+    stream = RandomStream(seed)
+    nodes = [stream.next_float() for _ in range(40)]
+    return sorted([*nodes, 0.0, 0.5, 1.0, *gen.kinks])
+
+
+def _nudged_density(cop: Copula, u: float, v: float) -> float:
+    """The pointwise density, with both coordinates nudged off a kink cell."""
+    if u in cop.gen.kinks or v in cop.gen.kinks:
+        return cop.density(math.nextafter(u, 1.0), math.nextafter(v, 1.0))
+    return cop.density(u, v)
+
+
+def test_grid_forms_match_scalar_cell_for_cell():
+    for gen in GRID_GENERATORS:
+        for seed, theta in enumerate((-1.0, -0.3, 0.5, 1.0)):
+            cop = Copula(gen, theta)
+            xs = _grid_nodes(gen, seed)
+            cdf = np.array([[cop.cdf(u, v) for v in xs] for u in xs])
+            density = np.array([[_nudged_density(cop, u, v) for v in xs] for u in xs])
+            where = (gen.label, theta)
+            # bit identical, not just close
+            assert np.array_equal(cop.cdf_grid(xs), cdf), where
+            assert np.array_equal(cop.density_grid(np.array(xs)), density), where
+
+
+def test_grid_forms_reject_nodes_off_the_unit_interval():
+    cop = Copula(FGM, 0.5)
+    with pytest.raises(ValueError):
+        cop.cdf_grid([0.5, 1.5])
+    with pytest.raises(ValueError):
+        cop.density_grid([-0.1, 0.5])
 
 
 def test_conditional_cdf_values():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copula_forge.exprlang import (
+    MAX_DEPTH,
     Binary,
     Branch,
     EvaluationDomainError,
@@ -22,6 +23,9 @@ from copula_forge.exprlang import (
     parse,
     to_source,
 )
+from copula_forge.generator import from_expression
+
+from conftest import random_valid_expression_generators
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +113,68 @@ def test_unknown_identifier_offset():
 def test_trailing_garbage_rejected():
     with pytest.raises(ExpressionSyntaxError):
         parse("x) + 1")
+
+
+# ---------------------------------------------------------------------------
+# Depth cap
+
+NESTED_200 = "(" * 200 + "x*(1-x)" + ")" * 200
+CHAIN_1500 = "x*(1-x)" + "+0.0001*x*(1-x)" * 1500
+
+
+def _syntax_offset(source: str) -> int:
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse(source)
+    assert "deeper than" in str(exc.value)
+    return exc.value.offset
+
+
+def test_depth_cap_rejects_deep_parentheses_at_the_crossing_token():
+    # the parenthesis that opens nesting level MAX_DEPTH + 1
+    assert _syntax_offset(NESTED_200) == MAX_DEPTH + 1
+    assert parse("(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1)) == Var()
+
+
+def test_depth_cap_rejects_long_chains_at_the_crossing_token():
+    # x*(1-x) is 3 levels deep and every '+' adds one, so the '+' that
+    # makes the tree MAX_DEPTH + 1 deep is the (MAX_DEPTH - 2)-th one
+    plus = [i for i, ch in enumerate(CHAIN_1500) if ch == "+"]
+    assert _syntax_offset(CHAIN_1500) == plus[MAX_DEPTH - 3] + 1
+    assert parse("x" + "+x" * (MAX_DEPTH - 1)) is not None
+    assert _syntax_offset("x" + "+x" * MAX_DEPTH) == 2 * MAX_DEPTH
+    # signs nest: the operand after MAX_DEPTH of them is level MAX_DEPTH + 1
+    assert _syntax_offset("-" * MAX_DEPTH + "x") == MAX_DEPTH + 1
+
+
+def test_depth_cap_accepts_the_seeded_generators():
+    for gen in random_valid_expression_generators(100):
+        assert parse(gen.source) is not None
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x" + "*x" * (MAX_DEPTH - 1),
+        "x" + "^x" * (MAX_DEPTH - 1),
+        "x" + "/(x+1)" * (MAX_DEPTH - 2),
+        "sin(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        "sqrt(" * (MAX_DEPTH - 2) + "x+1" + ")" * (MAX_DEPTH - 2),
+        "min(x," * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+    ],
+    ids=["product", "power", "quotient", "sine", "sqrt", "min"],
+)
+def test_second_derivative_at_the_cap_evaluates_and_prints(source):
+    d2 = differentiate(differentiate(parse(source)))
+    assert math.isfinite(evaluate(d2, 0.3))
+    assert to_source(d2)
+
+
+def test_nested_abs_differentiates_in_linear_time():
+    # each abs derivative names the inner derivative twice; without sharing,
+    # the second derivative of 60 nested abs would take 2^60 steps
+    gen = from_expression("abs(" * 60 + "x-0.5" + ")" * 60)
+    assert gen.phi_prime(0.3) == -1.0
+    assert gen.phi_second(0.3) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -251,8 +251,9 @@ def test_validate_accepts_zero_generator():
 def test_validate_grid_argument_rules():
     with pytest.raises(ValueError):
         validate(builtin("phi2"), grid_points=2)
-    with pytest.raises(ValueError):
-        validate(builtin("phi2"), tol=0.0)
+    for bad_tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError):
+            validate(builtin("phi2"), tol=bad_tol)
 
 
 def test_envelope_invariant_on_fine_grid():
