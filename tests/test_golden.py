@@ -1,11 +1,13 @@
 """Golden output digests: the exact stdout bytes of the CLI, pinned.
 
-Every digest below is the SHA-256 of one command's stdout, taken before
-grid evaluation moved from one generator call per grid cell to one per grid
-node.  A digest that moves means the code is wrong: ``sample`` promises the
-same bytes for the same (generator, theta, n, seed), and the quadrature and
-oracle outputs are promised bit-identical to the per-cell evaluation.
-Never update a digest to make a test pass.
+Every digest below is the SHA-256 of one command's stdout.  The sample,
+quadrature, oracle and kink-node digests were taken while grids were still
+evaluated one generator call per grid cell; the validate and check digests
+while expressions were still evaluated one tree walk per point.  A digest
+that moves means the code is wrong: ``sample`` promises the same bytes for
+the same (generator, theta, n, seed), and every other output is promised
+bit-identical to the per-cell and per-point evaluation.  Never update a
+digest to make a test pass.
 
 Commands run in process through ``copula_forge.cli.main``.
 """
@@ -15,6 +17,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+
+from conftest import random_valid_expression_generators
 
 from copula_forge.cli import main
 
@@ -44,20 +48,22 @@ def _gen_args(name: str, order: str | None, n_flag: str) -> list[str]:
     return ["--phi", name] + ([n_flag, order] if order else [])
 
 
-def _digest(argv: list[str]) -> str:
+def _digest(argv: list[str], codes: tuple[int, ...] = (0,)) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
-    assert code == 0, argv
+    assert code in codes, argv
     return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
-def _mismatches(cases: dict[str, list[str]], golden: dict[str, str]) -> list[str]:
+def _mismatches(
+    cases: dict[str, list[str]], golden: dict[str, str], codes: tuple[int, ...] = (0,)
+) -> list[str]:
     assert set(cases) == set(golden)
     return [
         f"{key}: {' '.join(argv)}"
         for key, argv in cases.items()
-        if _digest(argv) != golden[key]
+        if _digest(argv, codes) != golden[key]
     ]
 
 
@@ -118,6 +124,60 @@ def kink_node_cases() -> dict[str, list[str]]:
             cases[f"check:{label}@{theta}"] = [
                 "check", *gen, "--theta", theta, "--oracle",
                 "--resolution", resolution, "--format", "json",
+            ]
+    return cases
+
+
+# Expressions that exercise every operator of the evaluator, and the ways a
+# validation report can fail.
+OPERATOR_EXPRESSIONS = (
+    "x*(1-x)*sqrt(x)",  # phi' undefined at the single node x = 0
+    "x^2*(1-x)",
+    "x*(1-x)*ln(1+x)",
+    "0.9*min(x,1-x)",
+    "max(0, x*(1-x)-0.1)",
+    "x*(1-x)*abs(sin(7*pi*x))/3",
+    "x*(1-x)^(2.5)",
+    "x*(1-x)*2^x/4",
+)
+# invalid generators, and forms whose report names an undefined point
+EDGE_EXPRESSIONS = (
+    "0.7*sin(pi*x)",
+    "1.5*x*(1-x)",
+    # invalid, but matches x*(1-x)/4 in value and slope at every node of the
+    # default grid, so it passes
+    "x*(1-x)/4 + 0.0001*(1-cos(8192*pi*x))",
+    # phi' undefined at 2049 nodes: derivative_bound is inconclusive
+    "0.2*x*(1-x)*(1+0.1*sqrt(max(0,x-0.5))^3)",
+    # phi undefined at the node 0.25: the envelope fails with (0.25, inf)
+    "x*(1-x)*0.1/(x-0.25)*(x-0.25)",
+)
+
+
+def seeded_expressions() -> list[str]:
+    return [gen.source for gen in random_valid_expression_generators(100)]
+
+
+def validate_cases() -> dict[str, list[str]]:
+    cases = {}
+    for label, name, order in _BUILTINS:
+        cases[label] = ["validate", *_gen_args(name, order, "--n"), "--format", "json"]
+    expressions = {f"seeded{i:02d}": text for i, text in enumerate(seeded_expressions())}
+    expressions.update(
+        (f"op:{text}", text) for text in OPERATOR_EXPRESSIONS + EDGE_EXPRESSIONS
+    )
+    for key, text in expressions.items():
+        cases[key] = ["validate", "--phi-expr", text, "--format", "json"]
+    return cases
+
+
+def check_cases() -> dict[str, list[str]]:
+    cases = {}
+    for label, name, order in _BUILTINS:
+        for theta in ("-1", "-0.5", "0", "0.5", "1"):
+            cases[f"{label}@{theta}"] = [
+                "check", *_gen_args(name, order, "--n"), "--theta", theta,
+                "--format", "json",
             ]
     return cases
 
@@ -250,6 +310,173 @@ KINK_NODE_DIGESTS: dict[str, str] = {
     "check:phi1@1": "a4d0c8aefc5fbf4ae8ec2d981bcc82979f40043b5e6b98c5970462df10fbd0ce",
 }
 
+VALIDATE_DIGESTS: dict[str, str] = {
+    "phi1": "b408771b83ec976d41fca90b9320a0b68bafe516d0fa68f04eeca47fee74546e",
+    "phi2": "9cd2e169ccb6a9e343df56287294764d9119938058f419536962ed22d0104ce2",
+    "phi3": "bcb2565ac2bbfac822c4a62970364b1e9b145977bba8e8ba20ff308a9bb5a2b8",
+    "phi4": "9ce3e07b6e8eaf242f8d610d264fcdc62b6a548a4a2de250e0b7a888c99a8f30",
+    "phi5n1": "63148341155f0eadf22b0ae418b7b71aac3f219b46e7a2d368fe67c2eed54501",
+    "phi5n3": "f3036f1fa83346ef3bc3579d76f0dc08e4797376ce83260b0bfcd045072bc269",
+    "phi6n2": "5f9554cd3e178fc71b2a4290083e503099d5e1fa8a6e6a8492a9895fa230bb50",
+    "phi6n5": "98dd4e15a90e524ebc43ca18baec298ca7b01d4dc9929a3a2bcc092804459b56",
+    "seeded00": "1fe5662ee65bdaeb1b1c39b7c4020edde0eff97b34940ce2d9e2fd2e1791b451",
+    "seeded01": "6b9138cbfd2d4461855c9f6e8844e58cfd7544c095d6673c950db6131aa28612",
+    "seeded02": "6b17c110c59787532b485c71f53440f889f86f3548c4828b1ec9bb7877eb0a4e",
+    "seeded03": "9863bdd71207d9a840e9f8cd5f74ef7540965a74abce12da68dcc50f005d2e8d",
+    "seeded04": "aaaebc8d812b0c2afe71f7e140e8868d263f557811fea7bde7ae36f321f1e028",
+    "seeded05": "6920971c91311a9afbf07f69e74ee6e6d9572d2742cf43bf49162ae00f2fa5c7",
+    "seeded06": "05d70fca17433567316fc9224355eba15ea8668914a19b805161f8ee3290c59e",
+    "seeded07": "ddbf8e5308a4953725a55822be559e4c320a7c531f74f162aaf00ee8e0e97849",
+    "seeded08": "3a12f52bdfab01be2d802e6028581b4020de7a41bdbb2259e055560ae638721c",
+    "seeded09": "22e1c0bcaf3b5210c3e1fb3407a4d8ea4ccfcaba70c905f0810c4dd575120cad",
+    "seeded10": "69d99a495f58898bc46d958980a5e419540b23e3d973aa53249934b9682d3423",
+    "seeded11": "fb173946a68303c182e3c0fa38a1a9272301d41e2c72460ccb8755fa29873076",
+    "seeded12": "0a5a2e0ce13dab8ab0cd1ba9096e5c0932cae38251864deffbe5680d03f13cb0",
+    "seeded13": "4f22ff3980ad1985f45068bd8fc3367831a5341ff96b606145d8fd03848cd40d",
+    "seeded14": "76217e4a06ad8ad3fc15725e14c4c603ff39d0c5265a8bb40718a6a9cc05cc3f",
+    "seeded15": "8b97030e00b155bb690f9b3d006ea58642698dc6317dc4dcdda320abfd2b1e51",
+    "seeded16": "48c71ff7b1368d7190079949dafbf77ea462f7a580be10a3d963a1e41edbd798",
+    "seeded17": "bfaedb46ea44240c26c277ed8de796731ef2977f43c617929278ec5bf876038c",
+    "seeded18": "7a7319e34713f64110da6f32a365a8caf2068b9348f36ab8d358181320b74de3",
+    "seeded19": "fbf2ffe0254070eb510423e027765ce5db5f59b42cf66fd33122097c9e09f7cf",
+    "seeded20": "255c62c4386970753aed8659dfeb8ce087e1d7c7a7ccd975d8230bb9131621bf",
+    "seeded21": "72371ba8afec2dce272e15c298868ae2caf2fd5b1cd9a82d4ea02e1d9987109e",
+    "seeded22": "edf0cdbb7da2233eb5fdd882437297894b59f37497b3595c5bc1b43f51473533",
+    "seeded23": "bf4ebed61c0f46da037d72bdc63603596e2a63d3748f05a62c1f8257974ed3ad",
+    "seeded24": "98c3de228d6aebc64f4aa427fc3aff20e2d146205bedf20cbd9f045ba48607c0",
+    "seeded25": "e1fcf859dfd29aceb3d3eac5b8f38dd7c02252c795045b2497119dbb891ee6e8",
+    "seeded26": "e0eaf4c68918f3ce18d2de51fca2849cc3c9112278a6e069b3ec01478995ff45",
+    "seeded27": "b98fab8a0f18f86178dabeb2b36af31fab68f40556c3eb58ec210a6855e1ee69",
+    "seeded28": "5ed17bef2885c7e240abfee32497c7aedcf361944963204fa015b98a9f26aaf9",
+    "seeded29": "1953472852fc8990f98e9f32c11c80c0aa2d2fa4926fcdb0804c05351a4dc903",
+    "seeded30": "2e8459a5bda355912d0b49bdd91d5db46442211284522738fcce84c40b2068ea",
+    "seeded31": "c1705f750d98c7d8a08ce2860dbe922cace8442803aa65dc606f9baf22c42d4d",
+    "seeded32": "06abb228b1a19917a4e02a2aa6d18c51c6fd1773d1d15850595d40de52df627c",
+    "seeded33": "8697236b271b28c5230ba642bfccfb42a7086254741fce8a08916d635ade552d",
+    "seeded34": "d86440ac004744465c07bffeb164d5d111e767b0cb169d825828f06f60bd2d30",
+    "seeded35": "3a270c79e3b473ad6c39e10fa1f4b906ba8f52760be195e1f82f69346068296f",
+    "seeded36": "ac98ba04844e7fa7212521887a19c10b911b37f3c15f12281e8571fc6322a636",
+    "seeded37": "4c6d7b5add0c21cdde8232da3c29cfb9e23e7c87fc996a087228da35ebc90b0c",
+    "seeded38": "60054e7722d5e9e1cd15bc82c82220c62c46e75a0ab4a8f533d773135d0a9973",
+    "seeded39": "1c2098a48707be8984e2e1b984812b7224892bcbd8c8dbd82c192c744a550b64",
+    "seeded40": "52524d50612f0306ab52367e0f6be07161fea30cde822c8b676c48e8af8cc5a2",
+    "seeded41": "a2c5e398249bf1146a380e75654d47296c0da15f3ce8e554b998a64f118645bf",
+    "seeded42": "3058a6b18d11b5ac7a611a2c26dde604ff8277b442a1a2b556cb6e0643e4db26",
+    "seeded43": "07c06c2a9b57f8d0699543f6115eed8e324679df69da69574c7aee95fae8682d",
+    "seeded44": "dd97e605fb37d6826f646f095ced237013b8118b8eab9ceb8d916caa7f45fcf1",
+    "seeded45": "8a5dd30bf132c45d94499720fafcbd2c0c57ef2f8743048504e70aa9d14b7007",
+    "seeded46": "7bef90801366216e6e915110c99ded69cd101cbf6da60a9b378f733e1d8baad1",
+    "seeded47": "1e93fd1b7d878139c5e65b395956e12ab68e32184968b3d0a353e4468f04bf2f",
+    "seeded48": "46f9a3eb47cb8464f27e5685ea0142ff6c7f6df0dc42d90954a88d85a99d51f1",
+    "seeded49": "c11b684453458eb397743f0b5f468aff79d8c5cb2f5979b6a01d680721d24a59",
+    "seeded50": "cc00b85d3ab1a2a19a36586202125626719cef8ef5164a407229e1c83339f433",
+    "seeded51": "ae53d1860b9bb8870a77a5343450654f10a5fadc8504f28aca93d6fab545d8ab",
+    "seeded52": "5a65e41e149bf792c5d5cbfe20712c93350f709098a49313848f14a84bbda21f",
+    "seeded53": "0f46ebcb4da444a97aeeb2345614f68f7ad62eaf9f487b8db2f99561c025896e",
+    "seeded54": "cc02cdf524396785932f94643d36d0be32a8d380225561e9524097b8d2fbec51",
+    "seeded55": "05824f1fbe7037d76d4dfe9a569c378ae297c93559ba7f6cf9b5bbe9a3d31afe",
+    "seeded56": "33ce26a1751e827355172a18210fe4ac7292ad6f69f0f30af22a8ffc7dbe42cb",
+    "seeded57": "4ddcb17d3047fbbdebf8529f1d8606f17a38e6488fbd44914ba77ef23fd4b2b6",
+    "seeded58": "5973c3805ff4b204f38298ed545e37ded933dd2fb7e1fb524318003d8067800f",
+    "seeded59": "b2babd0c79753a69176824cb6dcc53847bab92b554204fd02804cf30967cfc3c",
+    "seeded60": "015abde4ac11ff848ec4e7654d5181f2695a70348fd3733ffe3bcf216640a442",
+    "seeded61": "ea4590a38fd5566bb315818714273f6217f6181e92de5936cefaddeb585e457a",
+    "seeded62": "e4554e5772dbfbc435f87e1a805145b9d73f9fca21e38a930ecd8c7dd8c6b1b4",
+    "seeded63": "fe60c33a5ead02e3de17ff600f1ce82fb7130f74b7650b4e1777658184e3d7c1",
+    "seeded64": "d49a5b5068c261bd20128985ab7172e06572578bd020f73b5467a6b5777031c6",
+    "seeded65": "1be56baf39b2caeec36425e481dc9305b3b97be3488ca85bcf98ae4dfa1d0fb7",
+    "seeded66": "2f7e0d2b262ecc2d4a0388a72694a5f427676744c11bf3369c34f4016a14c934",
+    "seeded67": "b8540a6fa157518a77b339566acadba0f0d61ecf6951816dbdff551d84975492",
+    "seeded68": "fb3b64307ecb55973939520727dc05545b8a831e520a25c751bf2a752acecce1",
+    "seeded69": "bb51f354ab32135a5ff5d9e2f6f842ea0b150b08719ed8fe3f67bad4d33005da",
+    "seeded70": "a555dcd0e3b272690ad27e7ee50a662e5c4fec593b69e21a3a13611757e3776a",
+    "seeded71": "68e33b175c77d8bb882c39c30caed18fe3b1145ebbe9e00bf0aa2967deba675b",
+    "seeded72": "95ced9c685e2ad3fe4a01566d79f3d4b4c410ebcab953b8ecbb6fabd00454968",
+    "seeded73": "de574d8329434b922f4f605d68c6493f7dde2a384ab25ffb55a8d003f03c9b44",
+    "seeded74": "a9200dc54bd2f3de101e5d0a402be9d41d3c1c064cbc332dec97e3a22da5d36e",
+    "seeded75": "c3effafc35519c7530fa97d2a24d1869a10c4d256f487b875ecf01c0053e9611",
+    "seeded76": "35498d75ec250d34abeee018a0282966b3c91da80576c70c1057b1f23bfe8a61",
+    "seeded77": "ae5091251a5d7e20d16b2bb8105cfc9a79c1d2a11c5065351e19ab77341f1b20",
+    "seeded78": "7fc1f72f5b4db6a159dadbb8a1a6c814bb7c1fab9ca53080b6c46e5e894f977a",
+    "seeded79": "d88dcbd0d1430de3c813ea6a848cf27de9beca7c0cc763d9238babec9474a0c9",
+    "seeded80": "8063c3c20bb7d12e314c021de2c96e4b4747284a14ac6a9d7d246d7a3d31a666",
+    "seeded81": "df50169f918c1ff39d211268f2de0a7d005ac1bf169b37acafe4e8df51277966",
+    "seeded82": "b06cd81dfbec0fca81aefe1bd68b703dcc82767fc3fc6199dfccb4a0cb291bcf",
+    "seeded83": "33f29ed1e28205b86984b97502df2df2d9fc5ca09908c1ad48842aee8a89f6fe",
+    "seeded84": "470fcb59196f3a7222d3a4717536ba8b6192a05258329bbfac755a19745ec87f",
+    "seeded85": "eec54673469f7676eea09b0f7bcfaa6f624932202f5e40f81bfa6c096b880b27",
+    "seeded86": "1878e969958e7d929a6959adf3e64ecb151452ca421e9de09c872d4a76451ce5",
+    "seeded87": "28c02c6094d1e7d41da32a5f51fa1a41de1f0ce2a94c5a841edc69cd88406b7a",
+    "seeded88": "34b3236897b1b28baa3c322dab2f3817d6292389087da0e95b88832747e85cf0",
+    "seeded89": "c1a3f99ed374806238027fd36aaab51bfd3575da3d634d35afc3de89ed0a6773",
+    "seeded90": "80e306956129eb9849757334434a6ceaf174a60c4e3a9661197f3f81f927b953",
+    "seeded91": "dfda72b9206d2b9871337175ad3c79bb32c40137926a53fbface7b0ca1bf38af",
+    "seeded92": "306597a2b019cfc399f4a01bf398ad6d66afc9c248fcd229262c53224e46a737",
+    "seeded93": "9f8dbb93983523eec6fc65a5d753d152ab482e1a4bec21a1b40b8e64c5cbf438",
+    "seeded94": "00b42b4afb25bcaa6cb288eac5148710043262177a5d13777ff8eac3c7db7420",
+    "seeded95": "487bac76acecee1aaf02f30c17010a567acd84a503c0ae1a395b4ad881758c0a",
+    "seeded96": "073193c44b829b55160d83d5b67aefff54ed9d4e5f8d2a3e4326cbadfea79696",
+    "seeded97": "5958989aca6c7cd631acba566b6fec035d9e833251c306e5ea8d94be64f771b8",
+    "seeded98": "9fafffbd424a98fc76b3dba032760f0660d03ace1dfc65bd11e4c76e854ef315",
+    "seeded99": "449af55cb62adc175f10db98e2e1faf3b5d42df97ba642a9d589dc225424efe7",
+    "op:x*(1-x)*sqrt(x)": "6092540b137971905aab884b3a9b91cad499678113b6c6983b994e5a0ac20965",
+    "op:x^2*(1-x)": "4859887029e532ee9e4593b92d6adc636df14bfa49d74fceecea1f43a7a20e8c",
+    "op:x*(1-x)*ln(1+x)": "8f7a623d32fb8dbe665550b9247ba06fad4c407ce9e4a3cbffd5a79a448cf1b4",
+    "op:0.9*min(x,1-x)": "865eaf7bf3cdc6a857b92ffd3dd5e99a00a7bd5ccff51c33b157d27ab21853ac",
+    "op:max(0, x*(1-x)-0.1)": "bcbfb77b48ab6c6c2a84301db0f49baddbcd93b9f33610ea0660038c33d79d7f",
+    "op:x*(1-x)*abs(sin(7*pi*x))/3": "850cfce779eee9f849b13749a9361c71f1ca9a2246f36fc6035a40799cd09fbd",
+    "op:x*(1-x)^(2.5)": "c5733f9b1984aca783961613f69af9dc4a9fdae53fdbd56182d90bbde10b6545",
+    "op:x*(1-x)*2^x/4": "e94d4e8453d18632a17a42bdffa9ada25b4cf4031b21819a656e2dc8953ab7eb",
+    "op:0.7*sin(pi*x)": "1a5d20a0fc2b3a9c10c672a50dae148e8ef6ee8c1fc3d46204fe5a683e516092",
+    "op:1.5*x*(1-x)": "11ce9e5b3c3c603187222d5d7d8374d81cc892a8d9926bec980dee4e740b9a37",
+    "op:x*(1-x)/4 + 0.0001*(1-cos(8192*pi*x))": "a0405326c464d4182f683ee4e4fa7f086dd7e179c0ce6a1169bab2bbb55c7286",
+    "op:0.2*x*(1-x)*(1+0.1*sqrt(max(0,x-0.5))^3)": "005b416424640441f27560344991d9f65c2c01a3ca104e245105ab70fdb2c7a8",
+    "op:x*(1-x)*0.1/(x-0.25)*(x-0.25)": "ee9c955b90ac2734edf94ea1c3ee2e8fe865fce5334379ad8ab2c9627fc078d4",
+}
+
+CHECK_DIGESTS: dict[str, str] = {
+    "phi1@-1": "ecd21223247815ce8cd456122b4f6d2065048612920911f84731e5b0b259d9a6",
+    "phi1@-0.5": "6ae2e5b982fccc49914c1bc168ef5aa3d404deb9898936a9b3e4951015b3778e",
+    "phi1@0": "35759c38cf4192518a6b7af95647be5fed40d25aa834bb7a0061a448a3c06f02",
+    "phi1@0.5": "259831ba6ad1391e62d82268af8184d1a6292d9f27e7e3dcc6e329d32eb61a7a",
+    "phi1@1": "47044bf45e1382d6465c357d25502113869d3d77872397bb2d670ba827edbc7f",
+    "phi2@-1": "ce2b46f18331d2e106e86093796160773d9ac77e9b299c710a66f3209381dac1",
+    "phi2@-0.5": "89dd1c4685ce2cfd3d71068c9c3ff98a0e78aacaff088de5d4985521a723a3c8",
+    "phi2@0": "e1588e9327bf47511911a6e0de796f1d5772e89e07c2b338cdeb0caf6e420978",
+    "phi2@0.5": "6f2464648ada2f32a0e37e45d1844914ab98c2f04a03a0a8cdd4dbf37b11b7a3",
+    "phi2@1": "5ba488cc0e70add4ee67e65b3b3b25bf83fe165dc01ff85c97394105ae56a63a",
+    "phi3@-1": "10f8a8b5ce11185f756f78ab83498c81552c95e10fbc28dc239c547a5315db1d",
+    "phi3@-0.5": "a147c1f19df051c727f3c4c6edfa7919936ba85defb47cd339fb70818a4adc6d",
+    "phi3@0": "b6416d2c75704fe300c549d2914c590130342750a760a207e9d67a3b39b9c456",
+    "phi3@0.5": "fdd0791a0926c2aeec4f63a4334c9c2f0610e0d6bf03953e662af6d8ee6479a6",
+    "phi3@1": "5b9124abd01d4a9a61a7e3c3b981fb1ebf99fef71678b518077cdc1ad7eadbb3",
+    "phi4@-1": "bab01703aa2a9584996e5694a2b13c1ea0ce9b59a7def7c22f174dea9ea8cb9d",
+    "phi4@-0.5": "ba0792d05a0481d3e7a988074b921a966dd788c74afdf1b059dab24f4ece1d34",
+    "phi4@0": "7d36b5fe9d4c3b129aba4a861ce3b88033424d3a8fba61ad73f10ba2d25fcaf1",
+    "phi4@0.5": "a5924f9a5c011e2932355e8f551ebe35a7c3cd3d26cdd5a2a18d18f94a18e90f",
+    "phi4@1": "ae3c44aa2a749a7dc04b7bac3c7b284e0790699d84f615ff80b8150002eecf73",
+    "phi5n1@-1": "9e2ef5c1b521834e0127a223ef43d2c5e818461f1866c7bde04dffdcda06e91b",
+    "phi5n1@-0.5": "0c588ad94432494fef5991eebd7c31b2094f97a62ecff36e01d4ff861b84afbc",
+    "phi5n1@0": "70c32e59d61def4243da8ea5c198bbc6b7404194f3d6f35803d362f5793b3016",
+    "phi5n1@0.5": "b6eec8932fa500d7ba52aaeb36a340eb5637d91a952c437c3a901d44bc92bfe8",
+    "phi5n1@1": "86838b3b606087c474c97d72e60b72b5c8c62dea660efa159145de20d552e052",
+    "phi5n3@-1": "0ed47cb35ad95cd8f3cf77c461b91e5fdcaf11513d9cea1cd94293723d3b2185",
+    "phi5n3@-0.5": "1996f256a49e685e4f480cc9bb9bda02cd12da780f7eea9462f5deba3a530fcd",
+    "phi5n3@0": "34bf38cdd7ec45adcad7074650beddc3a8ce5079a30404ee25581caef0ddb1df",
+    "phi5n3@0.5": "255663cfc83c8530a89329d65cafde631410386b873a609ad8d6cedfbf8edf53",
+    "phi5n3@1": "6dd6405963b7648c1922f75c8ec8476a8b24ff0ebc2161b384321c463987c90b",
+    "phi6n2@-1": "06d25ff73c6713e8efe68d7796ee8c285d942e0fa275d3eb4f7e17ddc43ab467",
+    "phi6n2@-0.5": "83ae6fb041a3b417825f7ed4143631b7c30082bd5f47340838afe3aa888766e1",
+    "phi6n2@0": "f38480ddf25f1865e734e565e6984f90f03072d7ba5643594c8a7a5c61f31835",
+    "phi6n2@0.5": "2fbaedb2c7f7bbdd6ff8c17ff8f7f729f6ff22d984d763c02f12f36c6fdb55d3",
+    "phi6n2@1": "b0426ce80ec188a20c9182217e0472e60d617bcd6fc794e6d474144e9f54b602",
+    "phi6n5@-1": "19217a793c673e69188e81b9d0d51d156511d1286a9521245f36b8b667290450",
+    "phi6n5@-0.5": "56aa67338fee5c8860d0d9609e33148829afda104ebd9949fecd6c86bbc4f25b",
+    "phi6n5@0": "18748131cf5652b6f3fbea6aabc6b948e3037067a2a3581952dd38178fdf9c13",
+    "phi6n5@0.5": "f798bd38a11f9a582452b021f4138e18f062a07b77771e7b541e2a460cb71be3",
+    "phi6n5@1": "3b96effb0e0382b4f5767673346462336dcb5d9fd6cdeab392537f4f6cffcb78",
+}
+
 
 def test_sample_csv_digests():
     assert _mismatches(sample_cases(), SAMPLE_DIGESTS) == []
@@ -265,3 +492,11 @@ def test_oracle_json_digests():
 
 def test_kink_node_digests():
     assert _mismatches(kink_node_cases(), KINK_NODE_DIGESTS) == []
+
+
+def test_validate_json_digests():
+    assert _mismatches(validate_cases(), VALIDATE_DIGESTS, codes=(0, 1)) == []
+
+
+def test_check_json_digests():
+    assert _mismatches(check_cases(), CHECK_DIGESTS) == []
