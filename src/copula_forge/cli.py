@@ -31,6 +31,7 @@ from .exprlang import (
     UnknownIdentifierError,
 )
 from .generator import (
+    MAX_TOL,
     Generator,
     GeneratorValidationError,
     builtin,
@@ -221,8 +222,8 @@ def _check_positive(name: str, value: int, minimum: int) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    if not (tol > 0.0):  # also refuses NaN
-        raise _CliError(2, "argument", "--tol must be positive")
+    if not (0.0 < tol < MAX_TOL):  # also refuses NaN
+        raise _CliError(2, "argument", f"--tol must be positive and below {MAX_TOL:g}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -594,6 +595,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             1, "validation", str(err), {"report": err.report.to_dict()}
         )
         _emit_error(args.format, cli_err)
+        return 1
+    except EvaluationDomainError as err:
+        # an expression undefined at a point some later scan probes
+        _emit_error(args.format, _CliError(1, "domain", str(err)))
         return 1
 
 

@@ -31,8 +31,11 @@ advertised input grammar.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "Expression",
@@ -47,6 +50,7 @@ __all__ = [
     "EvaluationDomainError",
     "parse",
     "evaluate",
+    "evaluate_array",
     "differentiate",
     "to_source",
     "MAX_DEPTH",
@@ -430,7 +434,10 @@ def _eval(node: Expression, x: float) -> float:
                 raise EvaluationDomainError("division by zero", node, x)
             return _require_finite(a / b, node, x)
         if op == "^":
-            return _pow_value(a, b, node, x)
+            value = _pow_or_reason(a, b)
+            if isinstance(value, str):
+                raise EvaluationDomainError(value, node, x)
+            return value
         if op == "min":
             return min(a, b)
         if op == "max":
@@ -443,22 +450,162 @@ def _eval(node: Expression, x: float) -> float:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _pow_value(a: float, b: float, node: Expression, x: float) -> float:
+def _pow_or_reason(a: float, b: float) -> float | str:
+    """a**b when it is a finite real, else why it is not."""
     if a == 0.0 and b < 0.0:
-        raise EvaluationDomainError("zero raised to a negative power", node, x)
+        return "zero raised to a negative power"
     if a < 0.0 and b != math.floor(b):
-        raise EvaluationDomainError(
-            "negative base with a non-integer exponent", node, x
-        )
+        return "negative base with a non-integer exponent"
     try:
         value = a**b
     except OverflowError:
-        raise EvaluationDomainError("overflow", node, x) from None
-    except ZeroDivisionError:  # pragma: no cover - guarded above
-        raise EvaluationDomainError("zero raised to a negative power", node, x) from None
-    if isinstance(value, complex):  # pragma: no cover - guarded above
-        raise EvaluationDomainError("complex result", node, x)
-    return _require_finite(value, node, x)
+        return "overflow"
+    if not math.isfinite(value):
+        return "result is not finite"
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation
+
+_CHUNK = 8192  # points per pass, so memory is (live nodes) x _CHUNK at most
+
+
+def evaluate_array(expr: Expression, xs) -> np.ndarray:
+    """Evaluate expr at every point of xs, with NaN where it is undefined.
+
+    Each value is bit-identical to ``evaluate`` at that point, and NaN marks
+    exactly the points where ``evaluate`` raises EvaluationDomainError:
+    every value ``evaluate`` returns is finite, so NaN is free to carry the
+    domain mask.  Every tree node is evaluated once per chunk of points, in
+    post-order; a node shared by several parents (``differentiate`` shares
+    subtrees) keeps its array only until its last parent has read it.  ln and
+    ^ go point by point through math.log and ``**``, because numpy's log and
+    power do not round like libm's.
+    """
+    points = np.asarray(xs, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("x must be finite")
+    order = _postorder(expr)
+    readers = Counter(id(c) for node in order for c in _children(node))
+    flat = points.ravel()
+    out = np.empty(flat.size)
+    with np.errstate(all="ignore"):
+        for start in range(0, flat.size, _CHUNK):
+            chunk = flat[start : start + _CHUNK]
+            out[start : start + chunk.size] = _run(order, readers, chunk)
+    return out.reshape(points.shape)
+
+
+def _children(node: Expression) -> tuple[Expression, ...]:
+    if isinstance(node, Unary):
+        return (node.arg,)
+    if isinstance(node, Binary):
+        return (node.lhs, node.rhs)
+    if isinstance(node, Branch):
+        return (node.a, node.b, node.low, node.high)
+    return ()
+
+
+def _postorder(expr: Expression) -> list[Expression]:
+    """Every distinct node once, each after all of its children."""
+    order: list[Expression] = []
+    seen: set[int] = set()
+    todo: list[tuple[Expression, bool]] = [(expr, False)]
+    while todo:
+        node, expanded = todo.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            todo.append((node, True))
+            todo.extend((child, False) for child in _children(node))
+    return order
+
+
+def _run(order: list[Expression], readers: Counter, xs: np.ndarray) -> np.ndarray:
+    values: dict[int, np.ndarray] = {}
+    unread = dict(readers)
+    for node in order:
+        children = _children(node)
+        values[id(node)] = _apply(node, [values[id(c)] for c in children], xs)
+        for child in children:
+            unread[id(child)] -= 1
+            if unread[id(child)] == 0:
+                del values[id(child)]
+    return values[id(order[-1])]
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values (a fresh array) with every non-finite entry set to NaN."""
+    values[~np.isfinite(values)] = math.nan
+    return values
+
+
+def _log_or_nan(v: float) -> float:
+    return math.log(v) if v > 0.0 else math.nan
+
+
+def _pow_or_nan(a: float, b: float) -> float:
+    value = _pow_or_reason(a, b)
+    return math.nan if isinstance(value, str) else value
+
+
+def _pointwise(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
+    """fn at every point where no argument is NaN; NaN elsewhere."""
+    live = ~np.logical_or.reduce([np.isnan(a) for a in args])
+    out = np.full(args[0].shape, math.nan)
+    out[live] = [fn(*p) for p in zip(*(a[live].tolist() for a in args))]
+    return out
+
+
+def _apply(node: Expression, args: list[np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """One node over a chunk, given its children's arrays (NaN = undefined)."""
+    if isinstance(node, Num):
+        return np.full(xs.shape, node.value)
+    if isinstance(node, Var):
+        return xs
+    if isinstance(node, Unary):
+        (v,) = args
+        op = node.op
+        if op == "neg":
+            return -v
+        if op == "sin":
+            return np.sin(v)
+        if op == "cos":
+            return np.cos(v)
+        if op == "abs":
+            return np.abs(v)
+        if op == "sqrt":
+            return np.sqrt(v)  # NaN below zero
+        if op == "ln":
+            return _pointwise(_log_or_nan, v)
+        raise AssertionError(f"unhandled unary op {op!r}")
+    if isinstance(node, Binary):
+        a, b = args
+        op = node.op
+        if op == "+":
+            return _finite(a + b)
+        if op == "-":
+            return _finite(a - b)
+        if op == "*":
+            return _finite(a * b)
+        if op == "/":
+            return _finite(a / b)  # a zero divisor gives an infinity or NaN
+        if op == "^":
+            return _pointwise(_pow_or_nan, a, b)
+        # Python's min and max keep a on ties; a NaN in either side propagates
+        if op == "min":
+            return np.where((b < a) | np.isnan(b), b, a)
+        if op == "max":
+            return np.where((b > a) | np.isnan(b), b, a)
+        raise AssertionError(f"unhandled binary op {op!r}")
+    if isinstance(node, Branch):
+        a, b, low, high = args
+        # a NaN in a or b propagates; a NaN on the side not taken does not
+        undefined = np.isnan(a) | np.isnan(b)
+        return np.where(undefined, math.nan, np.where(a <= b, low, high))
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .exprlang import (
     EvaluationDomainError,
     Expression,
     differentiate,
     evaluate,
+    evaluate_array,
     parse,
     to_source,
 )
@@ -45,6 +48,7 @@ __all__ = [
     "CheckResult",
     "ValidationReport",
     "BUILTIN_NAMES",
+    "MAX_TOL",
     "builtin",
     "from_expression",
     "validate",
@@ -52,7 +56,9 @@ __all__ = [
 
 BUILTIN_NAMES = ("phi1", "phi2", "phi3", "phi4", "phi5", "phi6")
 
-_FD_STEP = 1e-6  # central-difference step for derivative fallbacks
+MAX_TOL = 1e-3  # validate refuses a tolerance this large or larger
+
+ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 
 class GeneratorValidationError(ValueError):
@@ -68,20 +74,22 @@ class GeneratorValidationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """An immutable generator: phi plus optional derivatives and metadata.
+    """An immutable generator: phi and its first two derivatives, plus metadata.
 
-    phi_prime / phi_second may be None; `derivative` / `second_derivative`
-    then fall back to central differences.  `kinks` lists interior points
-    where phi' or phi'' is discontinuous; evaluation of density-like
-    quantities is refused there and grid scans skip them.  `certified_valid`
-    marks the shipped builtins, whose validity is an algebraic fact rather
-    than a grid observation.  The exact unit-interval integrals of phi and
-    |phi| are carried as Fractions when the family is piecewise polynomial.
+    `kinks` lists interior points where phi' or phi'' is discontinuous;
+    evaluation of density-like quantities is refused there and grid scans
+    skip them.  `certified_valid` marks the shipped builtins, whose validity
+    is an algebraic fact rather than a grid observation.  The exact
+    unit-interval integrals of phi and |phi| are carried as Fractions when the
+    family is piecewise polynomial.  `phi_array` / `phi_prime_array` are
+    optional array forms of phi / phi' with NaN where the scalar form raises
+    EvaluationDomainError; without them `phi_values` / `derivative_values`
+    call the scalar form point by point.
     """
 
     phi: Callable[[float], float]
-    phi_prime: Callable[[float], float] | None
-    phi_second: Callable[[float], float] | None
+    phi_prime: Callable[[float], float]
+    phi_second: Callable[[float], float]
     label: str
     n: int | None = None
     kinks: tuple[float, ...] = ()
@@ -89,22 +97,37 @@ class Generator:
     exact_integral: Fraction | None = None
     exact_abs_integral: Fraction | None = None
     source: str | None = None
+    phi_array: ArrayFn | None = None
+    phi_prime_array: ArrayFn | None = None
 
     def derivative(self, x: float) -> float:
-        if self.phi_prime is not None:
-            return self.phi_prime(x)
-        lo = max(0.0, x - _FD_STEP)
-        hi = min(1.0, x + _FD_STEP)
-        return (self.phi(hi) - self.phi(lo)) / (hi - lo)
+        return self.phi_prime(x)
 
     def second_derivative(self, x: float) -> float:
-        if self.phi_second is not None:
-            return self.phi_second(x)
-        h = 1e-4
-        lo = max(0.0, x - h)
-        hi = min(1.0, x + h)
-        mid = 0.5 * (lo + hi)
-        return (self.phi(hi) - 2.0 * self.phi(mid) + self.phi(lo)) / ((0.5 * (hi - lo)) ** 2)
+        return self.phi_second(x)
+
+    def phi_values(self, xs: np.ndarray) -> np.ndarray:
+        """phi at every point of the 1-D array xs; NaN where it is undefined."""
+        if self.phi_array is not None:
+            return self.phi_array(xs)
+        return _map_points(self.phi, xs)
+
+    def derivative_values(self, xs: np.ndarray) -> np.ndarray:
+        """phi' at every point of the 1-D array xs; NaN where it is undefined."""
+        if self.phi_prime_array is not None:
+            return self.phi_prime_array(xs)
+        return _map_points(self.phi_prime, xs)
+
+
+def _map_points(fn: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """A scalar function over an array, NaN where it raises a domain error."""
+    out = np.empty(len(xs))
+    for i, x in enumerate(xs.tolist()):
+        try:
+            out[i] = fn(x)
+        except EvaluationDomainError:
+            out[i] = math.nan
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +283,8 @@ def from_expression(expr: Expression | str) -> Generator:
 
     The expression is probed at x in {0, 0.5, 1}; a domain error there is
     raised immediately (the function cannot be a generator if it is not even
-    defined on [0, 1]).  First and second derivatives are symbolic.
+    defined on [0, 1]).  First and second derivatives are symbolic, and phi
+    and phi' come with array forms that evaluate the tree over whole grids.
     """
     if isinstance(expr, str):
         tree = parse(expr)
@@ -278,6 +302,8 @@ def from_expression(expr: Expression | str) -> Generator:
         phi_second=lambda x: evaluate(d2, x),
         label=f"expr:{source}",
         source=source,
+        phi_array=lambda xs: evaluate_array(tree, xs),
+        phi_prime_array=lambda xs: evaluate_array(d1, xs),
     )
 
 
@@ -351,28 +377,20 @@ def _check_endpoints(gen: Generator, tol: float) -> CheckResult:
 
 
 def _check_derivative_bound(
-    gen: Generator, xs: list[float], tol: float
+    gen: Generator, xs: np.ndarray, tol: float
 ) -> CheckResult:
-    fallback = gen.phi_prime is None
-    bound = 1.0 + tol
-    worst: tuple[float, float] | None = None
-    skipped = 0
-    kinkset = set(gen.kinks)
-    for x in xs:
-        if x in kinkset:
-            continue
-        try:
-            d = abs(gen.derivative(x))
-        except EvaluationDomainError:
-            skipped += 1
-            continue
-        if d > bound and (worst is None or d > worst[1]):
-            worst = (x, d)
-    if worst is not None:
-        how = "finite differences" if fallback else "symbolic derivative"
+    pts = xs[~np.isin(xs, gen.kinks)]
+    d = np.abs(gen.derivative_values(pts))
+    violations = d > 1.0 + tol  # False where phi' is undefined (NaN)
+    if violations.any():
+        i = int(np.argmax(np.where(violations, d, -math.inf)))  # first largest
         return CheckResult(
-            "derivative_bound", "fail", worst, f"|phi'| exceeds 1 + tol ({how})"
+            "derivative_bound",
+            "fail",
+            (float(pts[i]), float(d[i])),
+            "|phi'| exceeds 1 + tol (symbolic derivative)",
         )
+    skipped = int(np.isnan(d).sum())
     if skipped > 8:
         return CheckResult(
             "derivative_bound",
@@ -380,28 +398,28 @@ def _check_derivative_bound(
             None,
             f"derivative undefined at {skipped} grid points",
         )
-    note = (
-        "pass (grid, finite-difference fallback)"
-        if fallback
-        else "|phi'| <= 1 + tol on the grid (symbolic derivative)"
+    return CheckResult(
+        "derivative_bound",
+        "pass",
+        None,
+        "|phi'| <= 1 + tol on the grid (symbolic derivative)",
     )
-    return CheckResult("derivative_bound", "pass", None, note)
 
 
-def _check_envelope(gen: Generator, xs: list[float], tol: float) -> CheckResult:
-    worst: tuple[float, float] | None = None
-    for x in xs:
-        try:
-            value = abs(gen.phi(x))
-        except EvaluationDomainError:
-            return CheckResult(
-                "envelope", "fail", (x, math.inf), f"phi undefined at x={x}"
-            )
-        if value > min(x, 1.0 - x) + tol and (worst is None or value > worst[1]):
-            worst = (x, value)
-    if worst is not None:
+def _check_envelope(gen: Generator, xs: np.ndarray, tol: float) -> CheckResult:
+    values = np.abs(gen.phi_values(xs))
+    undefined = np.isnan(values)
+    if undefined.any():
+        x = float(xs[np.argmax(undefined)])  # the first undefined point
+        return CheckResult("envelope", "fail", (x, math.inf), f"phi undefined at x={x}")
+    violations = values > np.minimum(xs, 1.0 - xs) + tol
+    if violations.any():
+        i = int(np.argmax(np.where(violations, values, -math.inf)))  # first largest
         return CheckResult(
-            "envelope", "fail", worst, "|phi(x)| exceeds min(x, 1-x) + tol"
+            "envelope",
+            "fail",
+            (float(xs[i]), float(values[i])),
+            "|phi(x)| exceeds min(x, 1-x) + tol",
         )
     return CheckResult("envelope", "pass", None, "|phi| within the triangular envelope")
 
@@ -413,13 +431,14 @@ def validate(gen: Generator, grid_points: int = 4097, tol: float = 1e-9) -> Vali
     sample points within tol, nothing more.  The shipped builtins carry
     certified_valid=True because their validity is algebraic; the scan is
     still performed and reported.  Failures are report entries, not errors.
+    tol must lie in (0, MAX_TOL): a large tolerance would make the
+    derivative and envelope checks vacuous.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    if not (tol > 0.0):  # also refuses NaN
-        raise ValueError("tol must be positive")
-    step = 1.0 / (grid_points - 1)
-    xs = [i * step for i in range(grid_points)]
+    if not (0.0 < tol < MAX_TOL):  # also refuses NaN
+        raise ValueError(f"tol must be positive and below {MAX_TOL:g}")
+    xs = np.arange(grid_points) * (1.0 / (grid_points - 1))
     xs[-1] = 1.0
     checks = (
         _check_endpoints(gen, tol),

@@ -28,7 +28,6 @@ analogues and the report carries a ``negative_dependence`` flag.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -192,29 +191,13 @@ def _curvature_scan(
 ) -> tuple[float | None, float | None, str]:
     """Earliest points of positive / negative second derivative.
 
-    Declared kink abscissae are excluded.  When no second derivative is
-    available the scan falls back to second differences with a threshold
-    lifted above the cancellation noise floor.
+    Declared kink abscissae are excluded.
     """
     kinkset = set(gen.kinks)
-    if gen.phi_second is not None:
-        pts = [x for x in xs if x not in kinkset]
-        vals = [gen.phi_second(x) for x in pts]
-        pos, neg = _first_sign_violations(pts, vals, tol)
-        return pos, neg, "symbolic second derivative, kink abscissae excluded"
-    h = xs[1] - xs[0]
-    fmax = max(1.0, max(abs(gen.phi(x)) for x in xs))
-    thresh = max(tol, 64.0 * sys.float_info.epsilon * fmax / (h * h))
-    pts = []
-    vals = []
-    for i in range(1, len(xs) - 1):
-        x = xs[i]
-        if any(abs(x - k) <= h for k in kinkset):
-            continue
-        pts.append(x)
-        vals.append((gen.phi(x - h) - 2.0 * gen.phi(x) + gen.phi(x + h)) / (h * h))
-    pos, neg = _first_sign_violations(pts, vals, thresh)
-    return pos, neg, f"second differences (h={h:g}, threshold {thresh:g})"
+    pts = [x for x in xs if x not in kinkset]
+    vals = [gen.phi_second(x) for x in pts]
+    pos, neg = _first_sign_violations(pts, vals, tol)
+    return pos, neg, "symbolic second derivative, kink abscissae excluded"
 
 
 # ---------------------------------------------------------------------------

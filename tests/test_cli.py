@@ -193,17 +193,32 @@ def test_validate_unknown_identifier(capsys):
     ids=["validate", "check"],
 )
 def test_nan_tol_is_an_argument_error(capsys, argv):
-    code, out, err = run_main(capsys, [*argv, "--tol", "nan", "--format", "json"])
-    assert code == 2 and out == ""
-    payload = json.loads(err)
-    assert payload["error"]["kind"] == "argument"
-    assert "--tol" in payload["error"]["message"]
+    # so is a tolerance large enough to make the scans vacuous
+    for tol in ("nan", "1e-3", "1e300", "inf"):
+        code, out, err = run_main(capsys, [*argv, "--tol", tol, "--format", "json"])
+        assert code == 2 and out == "", tol
+        payload = json.loads(err)
+        assert payload["error"]["kind"] == "argument"
+        assert "--tol" in payload["error"]["message"]
 
 
 def test_validate_domain_error_is_exit_one(capsys):
     code, _, err = run_main(capsys, ["validate", "--phi-expr", "1/x"])
     assert code == 1
     assert "x=0" in err
+
+
+def test_check_domain_error_in_a_later_scan_is_exit_one(capsys):
+    # phi passes validate (phi' is undefined at one node only), but phi'' is
+    # undefined at x = 0, where the curvature scan probes it
+    code, out, err = run_main(
+        capsys,
+        ["check", "--phi-expr", "x*(1-x)*sqrt(x)", "--theta", "0.5", "--format", "json"],
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"]["kind"] == "domain"
+    assert "x=0.0" in payload["error"]["message"]
 
 
 # ---------------------------------------------------------------------------

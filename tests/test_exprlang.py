@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from copula_forge.exprlang import (
     Var,
     differentiate,
     evaluate,
+    evaluate_array,
     parse,
     to_source,
 )
@@ -356,3 +359,101 @@ def test_round_trip_random_trees(tree, k):
             evaluate(again, x)
         return
     assert evaluate(again, x) == want  # bitwise equal
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation
+
+
+def _pointwise(tree, xs) -> np.ndarray:
+    """evaluate at each point, NaN where it raises a domain error."""
+    out = []
+    for x in xs:
+        try:
+            out.append(evaluate(tree, float(x)))
+        except EvaluationDomainError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "sqrt(x-0.5)",
+        "ln(x-0.5)",
+        "1/(x-0.5)",
+        "(x-0.5)^(-1)",
+        "(x-0.5)^0.5",
+        "(x-0.5)^3",
+        "10^(1000*x)",  # overflow in the power
+        "x*1e308*10",  # overflow in a product
+        "min(x, sqrt(x-0.5))",  # undefined on the right of min
+        "max(sqrt(x-0.5), x)",
+        "min(x-x, -(x-x))",  # the tie 0.0 vs -0.0 keeps the left side
+        "max(-(x-x), x-x)",
+        "ifle(x, 0.5, x, sqrt(x-0.7))",  # undefined only on the side not taken
+        "ifle(sqrt(x-0.5), 1, x, x)",  # undefined in the comparison
+        "sin(8192*pi*x) + cos(3*x) - abs(-x)",
+    ],
+)
+def test_evaluate_array_nan_marks_exactly_the_domain_errors(source):
+    tree = parse(source)
+    xs = np.concatenate([np.linspace(0.0, 1.0, 401), [0.5, 0.7, -0.0]])
+    for t in (tree, differentiate(tree)):
+        assert_same_bits(evaluate_array(t, xs), _pointwise(t, xs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_trees)
+def test_evaluate_array_matches_evaluate_on_random_trees(tree):
+    xs = np.linspace(-0.25, 1.25, 61)
+    assert_same_bits(evaluate_array(tree, xs), _pointwise(tree, xs))
+
+
+def test_evaluate_array_spans_chunks_and_keeps_shape():
+    tree = differentiate(parse("x*(1-x)*ln(1+x)/sqrt(x)"))
+    xs = np.linspace(0.0, 1.0, 20001)  # more than two chunks
+    assert_same_bits(evaluate_array(tree, xs), _pointwise(tree, xs))
+    square = xs[:20000].reshape(100, 200)
+    want = _pointwise(tree, xs[:20000]).reshape(100, 200)
+    assert_same_bits(evaluate_array(tree, square), want)
+    assert evaluate_array(tree, []).shape == (0,)
+
+
+def test_evaluate_array_refuses_non_finite_points():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            evaluate_array(parse("x"), [0.5, bad])
+
+
+def test_evaluate_array_evaluates_shared_subtrees_once():
+    # 12 nested abs: the derivative tree has 2^12 paths but few distinct nodes
+    tree = parse("x-0.3")
+    for _ in range(12):
+        tree = Unary("abs", Binary("-", tree, Num(0.01)))
+    d1 = differentiate(tree)
+    xs = np.linspace(0.0, 1.0, 7)
+    assert_same_bits(evaluate_array(d1, xs), _pointwise(d1, xs))
+
+
+def test_evaluate_array_memory_does_not_grow_with_nodes_times_points():
+    # 60 terms, about 300 nodes, over 100,000 points: one array per node
+    # would hold 240 MB; chunked evaluation that frees read arrays needs the
+    # input and output plus a few chunks.
+    tree = parse("+".join(f"{k}*x*(1-x)" for k in range(1, 61)))
+    xs = np.linspace(0.0, 1.0, 100_000)
+    tracemalloc.start()
+    try:
+        evaluate_array(tree, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from copula_forge.exprlang import EvaluationDomainError
+from copula_forge.exprlang import EvaluationDomainError, Var
 from copula_forge.generator import (
     BUILTIN_NAMES,
     Generator,
@@ -251,7 +253,7 @@ def test_validate_accepts_zero_generator():
 def test_validate_grid_argument_rules():
     with pytest.raises(ValueError):
         validate(builtin("phi2"), grid_points=2)
-    for bad_tol in (0.0, -1e-9, float("nan")):
+    for bad_tol in (0.0, -1e-9, float("nan"), 1e-3, 1e300, float("inf")):
         with pytest.raises(ValueError):
             validate(builtin("phi2"), tol=bad_tol)
 
@@ -276,14 +278,43 @@ def test_symbolic_derivative_matches_finite_differences():
             assert gen.derivative(x) == pytest.approx(fd, abs=1e-5), (gen.label, x)
 
 
-def test_derivative_fallback_without_symbolic_slope():
-    bare = Generator(
-        phi=lambda x: x * (1.0 - x),
-        phi_prime=None,
-        phi_second=None,
-        label="bare",
+def test_validate_maps_scalar_forms_without_array_forms():
+    # the same generator with and without array forms: NaN at the node 0.25
+    # comes from EvaluationDomainError on the point-by-point path
+    gen = from_expression("x*(1-x)*0.1/(x-0.25)*(x-0.25)")
+    bare = dataclasses.replace(gen, phi_array=None, phi_prime_array=None)
+    xs = np.linspace(0.0, 1.0, 4097)
+    for array_form, point_form in (
+        (gen.phi_values(xs), bare.phi_values(xs)),
+        (gen.derivative_values(xs), bare.derivative_values(xs)),
+    ):
+        assert np.array_equal(array_form, point_form, equal_nan=True)
+    assert np.isnan(bare.phi_values(xs))[1024]
+    assert validate(bare).to_dict() == validate(gen).to_dict()
+
+def test_envelope_names_the_first_undefined_node():
+    # phi is undefined at the nodes 0.25 and 0.75 only
+    gen = from_expression(
+        "x*(1-x)*0.1/((x-0.25)*(x-0.75))*((x-0.25)*(x-0.75))"
     )
-    assert bare.derivative(0.25) == pytest.approx(0.5, abs=1e-9)
-    assert bare.second_derivative(0.25) == pytest.approx(-2.0, abs=1e-6)
-    rep = validate(bare)
-    assert rep.overall_pass
+    envelope = validate(gen).checks[2]
+    assert envelope.verdict == "fail"
+    assert envelope.witness == (0.25, math.inf)
+
+
+def test_derivative_bound_skips_kink_nodes_before_evaluating():
+    # phi' is steep and undefined exactly on the declared kinks, nowhere else
+    def slope(x: float) -> float:
+        if x == 0.25:
+            raise EvaluationDomainError("undefined", Var(), x)
+        return 5.0 if x == 0.75 else 0.0
+
+    gen = Generator(
+        phi=lambda x: 0.0,
+        phi_prime=slope,
+        phi_second=lambda x: 0.0,
+        label="kinked",
+        kinks=(0.25, 0.75),
+    )
+    assert validate(gen, grid_points=5).overall_pass
+    assert not validate(dataclasses.replace(gen, kinks=())).overall_pass

@@ -9,7 +9,9 @@ the same (generator, theta, n, seed), and every other output is promised
 bit-identical to the per-cell and per-point evaluation.  Never update a
 digest to make a test pass.
 
-Commands run in process through ``copula_forge.cli.main``.
+Commands run in process through ``copula_forge.cli.main``.  The last test
+checks the evaluator under the validate digests directly: array evaluation
+of phi and phi' against per-point evaluation, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +19,19 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 
+import numpy as np
 from conftest import random_valid_expression_generators
 
 from copula_forge.cli import main
+from copula_forge.exprlang import (
+    EvaluationDomainError,
+    differentiate,
+    evaluate,
+    evaluate_array,
+    parse,
+)
 
 THETAS = ("-1", "-0.3", "0.5", "1")
 
@@ -500,3 +511,28 @@ def test_validate_json_digests():
 
 def test_check_json_digests():
     assert _mismatches(check_cases(), CHECK_DIGESTS) == []
+
+
+def test_evaluate_array_matches_evaluate_on_the_validated_expressions():
+    grid = np.arange(4097) * (1.0 / 4096)
+    grid[-1] = 1.0
+    xs = np.concatenate([grid, np.random.default_rng(8).uniform(0.0, 1.0, 500)])
+    bad = []
+    for text in seeded_expressions() + list(OPERATOR_EXPRESSIONS + EDGE_EXPRESSIONS):
+        tree = parse(text)
+        for label, t in (("phi", tree), ("phi'", differentiate(tree))):
+            got = evaluate_array(t, xs)
+            for x, value in zip(xs.tolist(), got.tolist()):
+                try:
+                    want = evaluate(t, x)
+                except EvaluationDomainError:
+                    want = math.nan
+                same = (
+                    math.isnan(want)
+                    if math.isnan(value)
+                    else value.hex() == want.hex()
+                )
+                if not same:
+                    bad.append(f"{label} of {text} at {x!r}: {value!r} != {want!r}")
+                    break
+    assert bad == []

@@ -198,18 +198,6 @@ def test_profile_argument_rules():
         dependence_profile(builtin("phi2"), 0.5, grid=1)
 
 
-def test_curvature_finite_difference_fallback():
-    bare = Generator(
-        phi=lambda x: x * (1.0 - x),
-        phi_prime=lambda x: 1.0 - 2.0 * x,
-        phi_second=None,
-        label="bare-fgm",
-    )
-    rep = dependence_profile(bare, 1.0)
-    assert rep.verdicts["si"].status == "holds"
-    assert rep.verdicts["tp2"].status == "holds"
-
-
 # ---------------------------------------------------------------------------
 # Orderings
 
