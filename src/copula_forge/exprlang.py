@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -265,14 +265,9 @@ class _Parser:
         """Record the depth of a new inner node whose operator is tok.
 
         Leaves count 1.  Every node of the tree stays alive while parsing,
-        so the ids are unique.  Fields are read with getattr: reading
-        ``vars(node)`` would give the node a real ``__dict__`` and slow every
-        later attribute read in ``evaluate``.
+        so the ids are unique.
         """
-        children = [getattr(node, f.name) for f in fields(node)]
-        depth = 1 + max(
-            self._depths.get(id(c), 1) for c in children if isinstance(c, Expression)
-        )
+        depth = 1 + max(self._depths.get(id(c), 1) for c in _children(node))
         if depth > MAX_DEPTH:
             raise _too_deep(tok)
         self._depths[id(node)] = depth

@@ -434,8 +434,8 @@ def test_evaluate_array_refuses_non_finite_points():
             evaluate_array(parse("x"), [0.5, bad])
 
 
-def test_evaluate_array_evaluates_shared_subtrees_once():
-    # 12 nested abs: the derivative tree has 2^12 paths but few distinct nodes
+def test_evaluate_array_on_shared_subtrees():
+    # 12 nested abs: the derivative has 2^12 paths but few distinct nodes
     tree = parse("x-0.3")
     for _ in range(12):
         tree = Unary("abs", Binary("-", tree, Num(0.01)))
@@ -445,9 +445,10 @@ def test_evaluate_array_evaluates_shared_subtrees_once():
 
 
 def test_evaluate_array_memory_does_not_grow_with_nodes_times_points():
-    # 60 terms, about 300 nodes, over 100,000 points: one array per node
-    # would hold 240 MB; chunked evaluation that frees read arrays needs the
-    # input and output plus a few chunks.
+    # 60 terms, 479 nodes (360 distinct), over 100,000 points: one array per
+    # node would hold 380 MB, and one per distinct node and chunk 24 MB;
+    # freeing each array after its last reader leaves the output and a few
+    # chunks.
     tree = parse("+".join(f"{k}*x*(1-x)" for k in range(1, 61)))
     xs = np.linspace(0.0, 1.0, 100_000)
     tracemalloc.start()

@@ -292,6 +292,7 @@ def test_validate_maps_scalar_forms_without_array_forms():
     assert np.isnan(bare.phi_values(xs))[1024]
     assert validate(bare).to_dict() == validate(gen).to_dict()
 
+
 def test_envelope_names_the_first_undefined_node():
     # phi is undefined at the nodes 0.25 and 0.75 only
     gen = from_expression(
@@ -317,4 +318,4 @@ def test_derivative_bound_skips_kink_nodes_before_evaluating():
         kinks=(0.25, 0.75),
     )
     assert validate(gen, grid_points=5).overall_pass
-    assert not validate(dataclasses.replace(gen, kinks=())).overall_pass
+    assert not validate(dataclasses.replace(gen, kinks=()), grid_points=5).overall_pass
