@@ -3,7 +3,9 @@
 Every digest below is the SHA-256 of one command's stdout.  The sample,
 quadrature, oracle and kink-node digests were taken while grids were still
 evaluated one generator call per grid cell; the validate and check digests
-while expressions were still evaluated one tree walk per point.  A digest
+while expressions were still evaluated one tree walk per point; the sample
+edge and seeded-generator digests while sample still solved one pair at a
+time with scalar bisection.  A digest
 that moves means the code is wrong: ``sample`` promises the same bytes for
 the same (generator, theta, n, seed), and every other output is promised
 bit-identical to the per-cell and per-point evaluation.  Never update a
@@ -92,6 +94,64 @@ def sample_cases() -> dict[str, list[str]]:
             "--n", "250", "--seed", "42", "--format", "csv",
         ]
     return cases
+
+
+# Expressions for the sample digests: one per operator of the evaluator that
+# the sin template does not use.
+SAMPLE_EXPRESSIONS = (
+    "x*(1-x)^(2.5)",
+    "x*(1-x)*ln(1+x)",
+    "0.9*min(x,1-x)",
+    "max(0, x*(1-x)-0.1)",
+    "x*(1-x)*abs(sin(7*pi*x))/30",
+    "x*(1-x)*2^x/4",
+)
+# seeds at both ends of the 64-bit counter; the last one wraps at once
+EDGE_SEEDS = ("0", str(2**64 - 1))
+
+
+def sample_edge_cases() -> dict[str, list[str]]:
+    """sample on operator-coverage expressions, edge seeds and JSON output."""
+    cases = {}
+    for text in SAMPLE_EXPRESSIONS:
+        for theta in THETAS:
+            cases[f"op:{text}@{theta}"] = [
+                "sample", "--phi-expr", text, "--theta", theta,
+                "--n", "250", "--seed", "42", "--format", "csv",
+            ]
+    gens = {
+        "phi1": ["--phi", "phi1"],
+        "phi5n3": ["--phi", "phi5", "--gen-n", "3"],
+        "sin-template": ["--phi-expr", SIN_TEMPLATE],
+    }
+    for label, gen in gens.items():
+        for seed in EDGE_SEEDS:
+            for theta in ("-1", "0.5"):
+                cases[f"seed{seed}:{label}@{theta}"] = [
+                    "sample", *gen, "--theta", theta,
+                    "--n", "500", "--seed", seed, "--format", "csv",
+                ]
+    for label in ("phi1", "sin-template"):
+        cases[f"json:{label}"] = [
+            "sample", *gens[label], "--theta", "0.7",
+            "--n", "300", "--seed", "5", "--format", "json",
+        ]
+    return cases
+
+
+def seeded_sample_digest(theta: str) -> str:
+    """One digest over the concatenated CSV of all 100 seeded generators."""
+    h = hashlib.sha256()
+    for text in seeded_expressions():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([
+                "sample", "--phi-expr", text, "--theta", theta,
+                "--n", "200", "--seed", "42", "--format", "csv",
+            ])
+        assert code == 0, text
+        h.update(buf.getvalue().encode("utf-8"))
+    return h.hexdigest()
 
 
 def quadrature_cases() -> dict[str, list[str]]:
@@ -230,6 +290,52 @@ SAMPLE_DIGESTS: dict[str, str] = {
     "sin-template@-0.3": "0156c9cb23ef9e96327e23a2508a9bf88af82ce01a400541acd9b94cf572ae65",
     "sin-template@0.5": "1b2f0bcea78aa0d41671cf01edea1d1d47958ceca5130bb7d1c64fb4f30c4542",
     "sin-template@1": "c932818fc1564ebc591a71346b2cccea34342250a45c6cb0635ea8ce2f358b57",
+}
+
+SAMPLE_EDGE_DIGESTS: dict[str, str] = {
+    "op:x*(1-x)^(2.5)@-1": "eeffab70adddf00417d831d20cf89cb6f0b26c4280e8e36fcd0dd7aaed4f39af",
+    "op:x*(1-x)^(2.5)@-0.3": "ddebc822621d00f683ef82f2ddb456e4090b35764fe0efb14d8a348a0665df91",
+    "op:x*(1-x)^(2.5)@0.5": "a962c1a754e77e6e09cf5b0da1360fb30f1e11bf91877c662306df27a4ba9226",
+    "op:x*(1-x)^(2.5)@1": "aa76677a019f216791f5839907f332fbe7dd5921f78d76e01f047e5fdef576c6",
+    "op:x*(1-x)*ln(1+x)@-1": "3f8f72034953833791bd50b5ad032742593b905668f308234787234c86becf0c",
+    "op:x*(1-x)*ln(1+x)@-0.3": "bf1dea43baeff51d2cf8ce2fd14d0344fbb68db577c0e280c60872c4b6da4620",
+    "op:x*(1-x)*ln(1+x)@0.5": "143473b874160c3e0b140499b0634bc5caf67e9e9cb60d9fcfb5cedf0168cfc7",
+    "op:x*(1-x)*ln(1+x)@1": "91b6442a05f037de5ba867d343af1de73611308cba1c158de23ae945893a7ccc",
+    "op:0.9*min(x,1-x)@-1": "b0a3f12717339dd8f967556a60a7b9e883c8e172d2a933335283456554bb6361",
+    "op:0.9*min(x,1-x)@-0.3": "71503366e12a244386da070d8f650ab4abf4fd4890cc55190e5b56646c0253e5",
+    "op:0.9*min(x,1-x)@0.5": "4c781de45b76b6e7d2c60a0f3510a6e967ce6e3d5421e20f606779c06d7cd20e",
+    "op:0.9*min(x,1-x)@1": "4d28671295b3976f9dd485ed9427d71e060cbfc1d555f69bd0fea74246bb7262",
+    "op:max(0, x*(1-x)-0.1)@-1": "8fdcf21530c0657eb747637dc39f2b01543ff5d2756f3bcb4cf76a2c0350816e",
+    "op:max(0, x*(1-x)-0.1)@-0.3": "249bbc38e5708b82ac4c3f982e58b6edfe8609dd19142911eeda8b11c2688bfd",
+    "op:max(0, x*(1-x)-0.1)@0.5": "6857e6d82b39e045494e90544a000e32638471080dc0e18f35874a4c5e799730",
+    "op:max(0, x*(1-x)-0.1)@1": "e2b30d26549bdd6bb272bec160ea588a92b57c43a78c605f864e7f053d6a3e04",
+    "op:x*(1-x)*abs(sin(7*pi*x))/30@-1": "44db9a6cf377a03ac8b48fe6319382ebb9256fdb8bfa7b7afa50af00b6235669",
+    "op:x*(1-x)*abs(sin(7*pi*x))/30@-0.3": "a6cdb2d547a22009b80543b9cf7c2da38d9094bce2c955e3b624f293b1f5cfcc",
+    "op:x*(1-x)*abs(sin(7*pi*x))/30@0.5": "01a7efb840e6be50da27fee12245b57052a6d9c222f353083d792aabc65d9c84",
+    "op:x*(1-x)*abs(sin(7*pi*x))/30@1": "19f8f7f99d5cb5540e3a0d0ae927084754b9e1b5da5788546859242a2f878689",
+    "op:x*(1-x)*2^x/4@-1": "9c45a796f5427948755bbcc5ddc12a3c31a264a10004cafdf3375718beeeaebd",
+    "op:x*(1-x)*2^x/4@-0.3": "fc3827f6c6b5b93650f771ef4e17c17bd75819b80191c18ec6290f8cdbefcded",
+    "op:x*(1-x)*2^x/4@0.5": "09ffdd01ebd3edd9d74ce107497f3b26838a9dad72a924cf7f037f19e76dfaaa",
+    "op:x*(1-x)*2^x/4@1": "54555ca81e2b960b355ada3f0fd935d43bc538e1a0a63a4f439aa563695570e4",
+    "seed0:phi1@-1": "d2060cc9e832e76e3fd0794ea398faf68818f43631edccb4b012b135d9862c2a",
+    "seed0:phi1@0.5": "652da013cce8810cc850531b540ce44c72e129ce66d1b7dd35ed9feb37460cd4",
+    "seed18446744073709551615:phi1@-1": "96dc90396b43139443ae2f2282204f2b114f8035cf0930c3901d2106399e1326",
+    "seed18446744073709551615:phi1@0.5": "0fa499c71a079e1faed7a6c7e5d10f485c022ad198659832fa412dadb5952620",
+    "seed0:phi5n3@-1": "ad30ada3e17c0811f2bc5cf1dd900004bfdbcd2071569ab31bb5b49ad7035bb7",
+    "seed0:phi5n3@0.5": "d67d80c98efd9d1ae57d3345685b60ec7a48b8c257d8ae2977d80f822a21609d",
+    "seed18446744073709551615:phi5n3@-1": "b4d43bcaae51bcb542dac49bd3ec47bb7f951431fb231c8b0acff2138d1ad88b",
+    "seed18446744073709551615:phi5n3@0.5": "40e5c983b4c06940c785636210055fab95ccf240a933c8ad788287d6d7760823",
+    "seed0:sin-template@-1": "739b9c722d92d79fecc783747ecbcb82a88633a7c57acaccb7c923a229421458",
+    "seed0:sin-template@0.5": "439662a742a72ffde76478230a5647f9824fc928641885c5bba3648b6b196de7",
+    "seed18446744073709551615:sin-template@-1": "f18f716a25664b4985fe1e20e1a10a5b5a06b73d3aa332ea1d729c5892f55e89",
+    "seed18446744073709551615:sin-template@0.5": "db076ed4684ca076d3d67a177930e6942bab4908a979a21ce12ced8f7601e477",
+    "json:phi1": "05756774599bf85a123749c1aecce4507f47ebf78adea563491a6f212cc7ca92",
+    "json:sin-template": "3f03bb0fa45ec980a257020c543d4190e209468859809286eacc605316d76ca8",
+}
+
+SEEDED_SAMPLE_DIGESTS: dict[str, str] = {
+    "-1": "f7ff8e4431b90fccb4d5ec0e15b691ad301885634ab3795c634a0208f756979e",
+    "0.5": "70e93477d634d488cd813d136caab64e2491b0d26344cffa52529fa5d276299d",
 }
 
 QUADRATURE_DIGESTS: dict[str, str] = {
@@ -491,6 +597,15 @@ CHECK_DIGESTS: dict[str, str] = {
 
 def test_sample_csv_digests():
     assert _mismatches(sample_cases(), SAMPLE_DIGESTS) == []
+
+
+def test_sample_edge_digests():
+    assert _mismatches(sample_edge_cases(), SAMPLE_EDGE_DIGESTS) == []
+
+
+def test_seeded_sample_digests():
+    got = {theta: seeded_sample_digest(theta) for theta in SEEDED_SAMPLE_DIGESTS}
+    assert got == SEEDED_SAMPLE_DIGESTS
 
 
 def test_quadrature_json_digests():
