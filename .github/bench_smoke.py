@@ -5,8 +5,10 @@
 Run from the repository root.  For each workload of bench/run.py and for
 --trace 0 and 1, one short run must end its stdout with a JSON object that
 parses without NaN or Infinity constants, reports ``correct: true``, and
-gives every metric as a finite number (none missing, none null).  Exits 1
-and names the failing runs otherwise.
+gives every metric as a finite number (none missing, none null).  The run
+must have attempted operations, and none may fail, except in ``classify``,
+whose rounds hold one known-fault operation in 17.  Exits 1 and names the
+failing runs otherwise.
 """
 
 from __future__ import annotations
@@ -18,13 +20,16 @@ import subprocess
 import sys
 
 WORKLOADS = ("quad", "sample", "classify")
+# operations per known failure: classify has one known-fault operation per
+# 17-operation round; the other workloads have none
+KNOWN_FAULT_EVERY = {"classify": 17}
 
 
 def _refuse_constant(name: str):
     raise ValueError(f"non-finite constant {name}")
 
 
-def problems_of(stdout: str) -> list[str]:
+def problems_of(stdout: str, workload: str) -> list[str]:
     """What is wrong with one run's stdout; empty when it is a valid result."""
     lines = stdout.strip().splitlines()
     if not lines:
@@ -36,6 +41,7 @@ def problems_of(stdout: str) -> list[str]:
     if not isinstance(result, dict):
         return ["last line is not a JSON object"]
     problems = [] if result.get("correct") is True else ["correct is not true"]
+    problems += _failure_share_problems(result, workload)
     metrics = result.get("metrics")
     if not isinstance(metrics, dict) or not metrics:
         return problems + ["no metrics"]
@@ -44,6 +50,23 @@ def problems_of(stdout: str) -> list[str]:
         if "missing" in metric or not _finite_number(value):
             problems.append(f"metric {name} is {metric!r}")
     return problems
+
+
+def _failure_share_problems(result: dict, workload: str) -> list[str]:
+    attempted, failed = result.get("attempted"), result.get("failed")
+    if not (_count(attempted) and _count(failed)):
+        return [f"attempted {attempted!r} and failed {failed!r} are not counts"]
+    if attempted == 0:
+        return ["no operation attempted"]
+    every = KNOWN_FAULT_EVERY.get(workload)
+    allowed = attempted // every if every else 0
+    if failed > allowed:
+        return [f"{failed} of {attempted} operations failed, more than {allowed}"]
+    return []
+
+
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _finite_number(value) -> bool:
@@ -66,7 +89,7 @@ def main(argv=None) -> int:
                 "--seed", "1", "--seconds", args.seconds, "--trace", trace,
             ]
             run = subprocess.run(argv, capture_output=True, text=True, timeout=900)
-            problems = problems_of(run.stdout)
+            problems = problems_of(run.stdout, workload)
             if run.returncode != 0:
                 problems.insert(0, f"exit {run.returncode}")
             status = "ok" if not problems else "FAIL"

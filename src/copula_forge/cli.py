@@ -19,6 +19,7 @@ The generator parameter for phi5/phi6 is ``--n`` everywhere except
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -87,7 +88,13 @@ class _CliError(Exception):
 # Argument plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process at the first main.
+
+    Parsing leaves the parser unchanged, and argparse looks up sys.stdout and
+    sys.stderr only when it prints, so redirected output still works.
+    """
     parser = argparse.ArgumentParser(
         prog="copula-forge",
         description=(

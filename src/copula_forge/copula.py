@@ -32,13 +32,6 @@ class KinkPointError(ValueError):
     """Derivative-based quantity requested exactly on a declared kink."""
 
 
-def _off_kink(u: float, kinks: tuple[float, ...]) -> float:
-    """Nudge u one ulp upward if it sits exactly on a declared kink."""
-    if u in kinks:
-        return math.nextafter(u, 1.0)
-    return u
-
-
 @dataclass(frozen=True)
 class SamplePairs:
     """An exact sample from a copula, with its provenance.
@@ -174,18 +167,60 @@ class Copula:
 
         For each pair: u ~ U(0,1), w ~ U(0,1) (in that order), and v solves
         conditional_cdf(u, v) = w by bisection to 1e-12.  A u that lands
-        exactly on a declared kink is nudged one ulp toward 1.
+        exactly on a declared kink is nudged one ulp toward 1.  All pairs are
+        solved together, each with the exact steps of conditional_quantile.
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
-        stream = RandomStream(seed)
-        kinks = self.gen.kinks
-        out: list[tuple[float, float]] = []
-        for _ in range(n):
-            u = _off_kink(stream.next_float(), kinks)
-            w = stream.next_float()
-            out.append((u, self.conditional_quantile(u, w)))
-        return SamplePairs(tuple(out), seed=seed, n=n)
+        draws = RandomStream(seed).next_floats(2 * n)
+        u, w = draws[0::2], draws[1::2]
+        u = np.where(np.isin(u, self.gen.kinks), np.nextafter(u, 1.0), u)
+        v, undefined = self._lockstep_quantiles(u, w)
+        us, ws, vs = u.tolist(), w.tolist(), v.tolist()
+        # the scalar path raises the error the pair-by-pair loop raised first
+        for i in np.flatnonzero(undefined).tolist():
+            vs[i] = self.conditional_quantile(us[i], ws[i])
+        return SamplePairs(tuple(zip(us, vs)), seed=seed, n=n)
+
+    def _lockstep_quantiles(
+        self, u: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """conditional_quantile of every pair, bisected in lockstep.
+
+        The conditional cdf v + (theta*phi'(u))*phi(v) keeps its operation
+        order, and the guards, midpoints and stopping rule are those of
+        conditional_quantile and numerics.bisect, so every solved v is
+        bit-identical.  The mask marks pairs left unsolved: a NaN (where the
+        scalar path raises a domain error) or still live after 200 halvings.
+        """
+        gen = self.gen
+        with np.errstate(over="ignore"):  # Python floats overflow to inf too
+            a = self.theta * gen.derivative_values(u)
+            phi0, phi1 = gen.phi_values(np.array([0.0, 1.0])).tolist()
+            f0 = 0.0 + a * phi0
+            f1 = 1.0 + a * phi1
+            low = w <= f0
+            high = ~low & (w >= f1)
+            undefined = np.isnan(f0) | (~low & np.isnan(f1))
+            v = np.where(high, 1.0, 0.0)
+            live = np.flatnonzero(~(low | high | undefined))
+            a, w = a[live], w[live]
+            lo, hi = np.zeros(live.size), np.ones(live.size)
+            for _ in range(200):
+                if not live.size:
+                    break
+                mid = 0.5 * (lo + hi)
+                fmid = mid + a * gen.phi_values(mid)
+                nan = np.isnan(fmid)
+                stop = (np.abs(fmid - w) <= 1e-12) | ((hi - lo) <= 1e-12)
+                undefined[live[nan]] = True
+                v[live[stop]] = mid[stop]
+                up = fmid < w
+                lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+                keep = ~(stop | nan)
+                live, a, w, lo, hi = live[keep], a[keep], w[keep], lo[keep], hi[keep]
+        undefined[live] = True
+        return v, undefined
 
     # -- helpers ---------------------------------------------------------------
 

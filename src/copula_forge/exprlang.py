@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 MAX_DEPTH = 64
+_MESSAGE_SOURCE = 200  # characters of source an EvaluationDomainError prints
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +93,14 @@ class UnknownIdentifierError(ExpressionError):
 
 class EvaluationDomainError(ExpressionError):
     """Evaluation left the real domain (division by zero, sqrt of a negative,
-    zero to a negative power, overflow past the finite doubles)."""
+    zero to a negative power, overflow past the finite doubles).
+
+    The message names the failing node's source, cut after _MESSAGE_SOURCE
+    characters; the node itself is kept whole.
+    """
 
     def __init__(self, message: str, node: "Expression", x: float) -> None:
-        super().__init__(f"{message} in {to_source(node)!r} at x={x!r}")
+        super().__init__(f"{message} in {_clipped_source(node)!r} at x={x!r}")
         self.node = node
         self.x = x
 
@@ -770,50 +775,76 @@ _PREC_POW = 4
 _PREC_ATOM = 5
 
 
-def _render(node: Expression) -> tuple[str, int]:
+def _precedence(node: Expression) -> int:
     if isinstance(node, Num):
-        text = repr(node.value)
-        prec = _PREC_NEG if text.startswith("-") else _PREC_ATOM
-        return text, prec
-    if isinstance(node, Var):
-        return "x", _PREC_ATOM
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            inner = _wrap(node.arg, _PREC_NEG)
-            return f"-{inner}", _PREC_NEG
-        inner, _ = _render(node.arg)
-        return f"{node.op}({inner})", _PREC_ATOM
+        return _PREC_NEG if repr(node.value).startswith("-") else _PREC_ATOM
+    if isinstance(node, Unary) and node.op == "neg":
+        return _PREC_NEG
     if isinstance(node, Binary):
-        op = node.op
-        if op in ("min", "max"):
-            return f"{op}({_render(node.lhs)[0]},{_render(node.rhs)[0]})", _PREC_ATOM
-        if op == "^":
-            lhs = _wrap(node.lhs, _PREC_ATOM)
-            rhs = _wrap(node.rhs, _PREC_NEG)
-            return f"{lhs}^{rhs}", _PREC_POW
-        if op in ("*", "/"):
-            lhs = _wrap(node.lhs, _PREC_MUL)
-            rhs = _wrap(node.rhs, _PREC_NEG)
-            return f"{lhs}{op}{rhs}", _PREC_MUL
-        lhs = _wrap(node.lhs, _PREC_ADD)
-        rhs = _wrap(node.rhs, _PREC_MUL)
-        return f"{lhs}{op}{rhs}", _PREC_ADD
-    if isinstance(node, Branch):
-        parts = ",".join(
-            _render(part)[0] for part in (node.a, node.b, node.low, node.high)
-        )
-        return f"ifle({parts})", _PREC_ATOM
-    raise TypeError(f"not an expression node: {node!r}")
+        return _BINARY_PREC.get(node.op, _PREC_ATOM)
+    return _PREC_ATOM
 
 
-def _wrap(node: Expression, min_prec: int) -> str:
-    text, prec = _render(node)
-    if prec < min_prec:
-        return f"({text})"
+_BINARY_PREC = {"^": _PREC_POW, "*": _PREC_MUL, "/": _PREC_MUL, "+": _PREC_ADD, "-": _PREC_ADD}
+
+
+def _pieces(node: Expression, min_prec: int = 0):
+    """Source text of node, piece by piece, parenthesized below min_prec.
+
+    Lazy, so a prefix of the text costs only its own length: a derivative
+    that shares subtrees can print exponentially longer than it is big.
+    """
+    wrap = _precedence(node) < min_prec
+    if wrap:
+        yield "("
+    if isinstance(node, Num):
+        yield repr(node.value)
+    elif isinstance(node, Var):
+        yield "x"
+    elif isinstance(node, Unary):
+        if node.op == "neg":
+            yield "-"
+            yield from _pieces(node.arg, _PREC_NEG)
+        else:
+            yield f"{node.op}("
+            yield from _pieces(node.arg)
+            yield ")"
+    elif isinstance(node, Binary) and node.op in ("min", "max"):
+        yield f"{node.op}("
+        yield from _pieces(node.lhs)
+        yield ","
+        yield from _pieces(node.rhs)
+        yield ")"
+    elif isinstance(node, Binary):
+        prec = _BINARY_PREC[node.op]
+        # ^ is right-associative; the other operators are left-associative
+        yield from _pieces(node.lhs, _PREC_ATOM if prec == _PREC_POW else prec)
+        yield node.op
+        yield from _pieces(node.rhs, _PREC_NEG if prec != _PREC_ADD else _PREC_MUL)
+    elif isinstance(node, Branch):
+        yield "ifle("
+        yield from _pieces(node.a)
+        for part in (node.b, node.low, node.high):
+            yield ","
+            yield from _pieces(part)
+        yield ")"
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    if wrap:
+        yield ")"
+
+
+def _clipped_source(node: Expression) -> str:
+    """to_source(node), cut to its first _MESSAGE_SOURCE characters plus an ellipsis."""
+    text = ""
+    for piece in _pieces(node):
+        text += piece
+        if len(text) > _MESSAGE_SOURCE:
+            return text[:_MESSAGE_SOURCE] + "\u2026"
     return text
 
 
 def to_source(expr: Expression) -> str:
     """Render an expression to source text that parses back to the same tree
     (same node shapes up to constant spelling, identical evaluation)."""
-    return _render(expr)[0]
+    return "".join(_pieces(expr))

@@ -10,6 +10,9 @@ independent implementation can reproduce every sample bit for bit:
     output <- z XOR (z >> 31)                            (mix)
 
 Doubles in [0, 1) take the top 53 bits of the output: (output >> 11) * 2^-53.
+The state after k advances is seed + k * 0x9E3779B97F4A7C15 mod 2^64, so
+draw k depends on (seed, k) alone and a whole run of draws is one array
+computation (``RandomStream.next_floats``).
 
 Quadrature comes in two flavours.  ``integrate_1d`` is adaptive Simpson with
 explicit breakpoint splitting for integrands with known kinks.
@@ -271,6 +274,21 @@ class RandomStream:
     def next_float(self) -> float:
         """Uniform double in [0, 1) from the top 53 output bits."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def next_floats(self, count: int) -> np.ndarray:
+        """The next `count` values of next_float, as one float64 array.
+
+        Draw k is the mix of state + k * gamma, so the whole run is computed
+        in uint64 arrays, whose arithmetic wraps modulo 2^64 as the spec's.
+        """
+        k = np.arange(1, count + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            z = np.uint64(self._state) + k * np.uint64(_GAMMA)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def split(self) -> "RandomStream":
         """Child stream seeded from the next output; advances this stream."""

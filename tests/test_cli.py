@@ -423,3 +423,34 @@ def test_sample_bytes_stable_across_processes():
     second = _run_cli(args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from copula_forge.cli import main
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_reused_parser_matches_a_fresh_process_per_call():
+    valid = ["sample", "--phi", "phi2", "--theta", "0.5", "--n", "5", "--seed", "3"]
+    invalid = ["sample", "--phi", "phi2", "--n", "5"]  # --theta missing: exit 2
+    sequence = [valid, invalid, ["--help"], valid]
+    one = subprocess.run(
+        [sys.executable, "-c", _IN_ONE_PROCESS, json.dumps(sequence)],
+        capture_output=True, text=True, check=True,
+    )
+    fresh = [_run_cli(argv) for argv in sequence]
+    want = [[res.returncode, res.stdout, res.stderr] for res in fresh]
+    assert [code for code, _, _ in want] == [0, 2, 0, 0]
+    assert json.loads(one.stdout) == want

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from copula_forge.copula import Copula, KinkPointError, SamplePairs, ThetaRangeError
+from copula_forge.exprlang import EvaluationDomainError, Var
 from copula_forge.generator import GeneratorValidationError, builtin, from_expression
 from copula_forge.numerics import QuadratureConfig, RandomStream, integrate_2d
 
@@ -317,6 +319,84 @@ def test_sample_rejects_negative_n():
     cop = Copula(FGM, 0.5)
     with pytest.raises(ValueError):
         cop.sample(-1, seed=3)
+
+
+def _pair_by_pair(cop: Copula, n: int, seed: int) -> list[tuple[str, str]]:
+    """The per-pair sampling loop: nudge u off a kink, then invert."""
+    stream = RandomStream(seed)
+    out = []
+    for _ in range(n):
+        u = stream.next_float()
+        if u in cop.gen.kinks:
+            u = math.nextafter(u, 1.0)
+        w = stream.next_float()
+        out.append((u.hex(), cop.conditional_quantile(u, w).hex()))
+    return out
+
+
+def _hex_pairs(pairs) -> list[tuple[str, str]]:
+    return [(u.hex(), v.hex()) for u, v in pairs]
+
+
+_LOCKSTEP_GENERATORS = (
+    [builtin(name) for name in ("phi1", "phi2", "phi3", "phi4")]
+    + [builtin("phi5", n) for n in (1, 2, 3, 4, 7, 8)]
+    + [builtin("phi6", n) for n in (2, 3, 5)]
+    + [from_expression("x*(1-x)*ln(1+x)"), from_expression("0.9*min(x,1-x)")]
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gen", _LOCKSTEP_GENERATORS, ids=lambda g: g.label)
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 0.5, 1.0])
+def test_sample_equals_pair_by_pair_inversion(gen, theta):
+    cop = Copula(gen, theta)
+    got = cop.sample(150, seed=31)
+    assert isinstance(got.pairs, tuple)
+    assert all(type(u) is float and type(v) is float for u, v in got.pairs)
+    assert _hex_pairs(got) == _pair_by_pair(cop, 150, 31)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_nudges_a_u_drawn_on_a_kink():
+    seed = 2024
+    first = RandomStream(seed).next_float()
+    gen = dataclasses.replace(builtin("phi2"), label="phi2-kinked", kinks=(first,))
+    cop = Copula(gen, 0.8)
+    pairs = cop.sample(40, seed)
+    assert pairs.pairs[0][0] == math.nextafter(first, 1.0)
+    assert _hex_pairs(pairs) == _pair_by_pair(cop, 40, seed)
+
+
+def _raises_on_band(fn, lo: float, hi: float):
+    def guarded(x: float) -> float:
+        if lo < x < hi:
+            raise EvaluationDomainError("test band", Var(), x)
+        return fn(x)
+
+    return guarded
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["phi", "phi_prime"])
+def test_sample_domain_error_matches_pair_by_pair(field):
+    fgm = builtin("phi2")
+    gen = dataclasses.replace(
+        fgm, label="banded", **{field: _raises_on_band(getattr(fgm, field), 0.3, 0.4)}
+    )
+    cop = Copula(gen, 0.5)
+    with pytest.raises(EvaluationDomainError) as scalar:
+        _pair_by_pair(cop, 60, 5)
+    with pytest.raises(EvaluationDomainError) as lockstep:
+        cop.sample(60, seed=5)
+    assert str(lockstep.value) == str(scalar.value)
+    assert lockstep.value.x == scalar.value.x
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gen", [FGM, from_expression("x*(1-x)*2^x/4")], ids=str)
+def test_sample_of_zero_pairs_is_empty(gen):
+    assert Copula(gen, -1.0).sample(0, seed=2**64 - 1).pairs == ()
 
 
 def test_sample_round_trips_conditional_cdf():

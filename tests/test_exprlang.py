@@ -458,3 +458,30 @@ def test_evaluate_array_memory_does_not_grow_with_nodes_times_points():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _abs_tower_slope(levels: int):
+    """phi' of sqrt(abs(...abs(x-0.5)...)), undefined at 0.5; its source
+    doubles with each abs."""
+    return differentiate(parse("sqrt(" + "abs(" * levels + "x-0.5" + ")" * levels + ")"))
+
+
+def test_domain_error_message_cuts_long_sources():
+    with pytest.raises(EvaluationDomainError) as err:
+        evaluate(_abs_tower_slope(4), 0.5)
+    source = to_source(err.value.node)
+    assert len(source) > 200
+    assert str(err.value) == f"division by zero in {source[:200] + '…'!r} at x=0.5"
+
+
+@pytest.mark.parametrize("levels", [16, 40])
+def test_domain_error_message_is_bounded_for_nested_abs(levels):
+    with pytest.raises(EvaluationDomainError) as err:
+        evaluate(_abs_tower_slope(levels), 0.5)
+    assert len(str(err.value)) <= 240
+
+
+def test_domain_error_message_keeps_short_sources_whole():
+    with pytest.raises(EvaluationDomainError) as err:
+        evaluate(parse("x*(1-x)/(x-0.5)"), 0.5)
+    assert str(err.value) == "division by zero in 'x*(1.0-x)/(x-0.5)' at x=0.5"

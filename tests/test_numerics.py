@@ -231,3 +231,14 @@ def test_split_advances_parent():
     a.split()
     b.next_u64()
     assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 42, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 7, 1000])
+def test_next_floats_equals_next_float_calls(seed, count):
+    a, b = RandomStream(seed), RandomStream(seed)
+    got = a.next_floats(count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert got.tolist() == [b.next_float() for _ in range(count)]
+    assert a.next_u64() == b.next_u64()  # same state afterwards
