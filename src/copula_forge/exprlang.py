@@ -775,6 +775,9 @@ _PREC_POW = 4
 _PREC_ATOM = 5
 
 
+_BINARY_PREC = {"^": _PREC_POW, "*": _PREC_MUL, "/": _PREC_MUL, "+": _PREC_ADD, "-": _PREC_ADD}
+
+
 def _precedence(node: Expression) -> int:
     if isinstance(node, Num):
         return _PREC_NEG if repr(node.value).startswith("-") else _PREC_ATOM
@@ -783,9 +786,6 @@ def _precedence(node: Expression) -> int:
     if isinstance(node, Binary):
         return _BINARY_PREC.get(node.op, _PREC_ATOM)
     return _PREC_ATOM
-
-
-_BINARY_PREC = {"^": _PREC_POW, "*": _PREC_MUL, "/": _PREC_MUL, "+": _PREC_ADD, "-": _PREC_ADD}
 
 
 def _pieces(node: Expression, min_prec: int = 0):
@@ -801,31 +801,20 @@ def _pieces(node: Expression, min_prec: int = 0):
         yield repr(node.value)
     elif isinstance(node, Var):
         yield "x"
-    elif isinstance(node, Unary):
-        if node.op == "neg":
-            yield "-"
-            yield from _pieces(node.arg, _PREC_NEG)
-        else:
-            yield f"{node.op}("
-            yield from _pieces(node.arg)
-            yield ")"
-    elif isinstance(node, Binary) and node.op in ("min", "max"):
-        yield f"{node.op}("
-        yield from _pieces(node.lhs)
-        yield ","
-        yield from _pieces(node.rhs)
-        yield ")"
-    elif isinstance(node, Binary):
+    elif isinstance(node, Unary) and node.op == "neg":
+        yield "-"
+        yield from _pieces(node.arg, _PREC_NEG)
+    elif isinstance(node, Binary) and node.op in _BINARY_PREC:
         prec = _BINARY_PREC[node.op]
         # ^ is right-associative; the other operators are left-associative
         yield from _pieces(node.lhs, _PREC_ATOM if prec == _PREC_POW else prec)
         yield node.op
-        yield from _pieces(node.rhs, _PREC_NEG if prec != _PREC_ADD else _PREC_MUL)
-    elif isinstance(node, Branch):
-        yield "ifle("
-        yield from _pieces(node.a)
-        for part in (node.b, node.low, node.high):
-            yield ","
+        yield from _pieces(node.rhs, _PREC_MUL if prec == _PREC_ADD else _PREC_NEG)
+    elif isinstance(node, (Unary, Binary, Branch)):  # sin(a), min(a,b), ifle(a,b,p,q)
+        yield "ifle(" if isinstance(node, Branch) else f"{node.op}("
+        for i, part in enumerate(_children(node)):
+            if i:
+                yield ","
             yield from _pieces(part)
         yield ")"
     else:

@@ -394,7 +394,7 @@ def test_sample_domain_error_matches_pair_by_pair(field):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("gen", [FGM, from_expression("x*(1-x)*2^x/4")], ids=str)
+@pytest.mark.parametrize("gen", [FGM, from_expression("x*(1-x)*2^x/4")], ids=lambda g: g.label)
 def test_sample_of_zero_pairs_is_empty(gen):
     assert Copula(gen, -1.0).sample(0, seed=2**64 - 1).pairs == ()
 
