@@ -1,12 +1,15 @@
 """Golden output digests: the exact stdout bytes of the CLI, pinned.
 
-Every digest below is the SHA-256 of one command's stdout.  The sample,
-quadrature, oracle and kink-node digests were taken while grids were still
-evaluated one generator call per grid cell; the validate and check digests
-while expressions were still evaluated one tree walk per point; the sample
-edge and seeded-generator digests while sample still solved one pair at a
-time with scalar bisection.  A digest
-that moves means the code is wrong: ``sample`` promises the same bytes for
+Most digests below are the SHA-256 of one command's stdout; the seeded,
+edge and grid check digests cover the exit code, stdout and stderr of each
+run in a group.  The sample, quadrature, oracle and kink-node digests were
+taken while grids were still evaluated one generator call per grid cell;
+the validate and check digests while expressions were still evaluated one
+tree walk per point; the sample edge and seeded-generator digests while
+sample still solved one pair at a time with scalar bisection; the seeded,
+edge and grid check digests and the domain probes while the property
+profile still scanned phi one scalar call per grid point.  A digest that
+moves means the code is wrong: ``sample`` promises the same bytes for
 the same (generator, theta, n, seed), and every other output is promised
 bit-identical to the per-cell and per-point evaluation.  Never update a
 digest to make a test pass.
@@ -251,6 +254,85 @@ def check_cases() -> dict[str, list[str]]:
                 "--format", "json",
             ]
     return cases
+
+
+
+def _transcript(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _transcript_digest(runs: list[list[str]]) -> str:
+    """One digest over the exit code, stdout and stderr of each run, in order."""
+    h = hashlib.sha256()
+    for argv in runs:
+        code, out, err = _transcript(argv)
+        h.update(f"{code}\n{out}\n{err}\n".encode("utf-8"))
+    return h.hexdigest()
+
+
+def seeded_check_runs(theta: str) -> list[list[str]]:
+    return [
+        ["check", "--phi-expr", text, "--theta", theta, "--format", "json"]
+        for text in seeded_expressions()
+    ]
+
+
+def edge_check_cases() -> dict[str, list[list[str]]]:
+    """check with and without the oracles on the operator and edge expressions."""
+    cases = {}
+    for text in OPERATOR_EXPRESSIONS + EDGE_EXPRESSIONS:
+        for theta in ("-1", "0.5"):
+            argv = ["check", "--phi-expr", text, "--theta", theta, "--format", "json"]
+            cases[f"op:{text}@{theta}"] = [argv]
+            cases[f"oracle:{text}@{theta}"] = [argv + ["--oracle"]]
+    return cases
+
+
+# builtins for the coarse- and odd-grid check digests: the family orders of
+# _BUILTINS plus phi5 with a full-width cap (n=2) and phi6 at odd and high n
+_GRID_BUILTINS = _BUILTINS + (
+    ("phi5n2", "phi5", "2"),
+    ("phi5n8", "phi5", "8"),
+    ("phi6n3", "phi6", "3"),
+    ("phi6n8", "phi6", "8"),
+)
+
+
+def grid_check_cases() -> dict[str, list[list[str]]]:
+    """check on every builtin at --grid 3 and 64, over five thetas per digest."""
+    cases = {}
+    for label, name, order in _GRID_BUILTINS:
+        for grid in ("3", "64"):
+            cases[f"{label}@grid{grid}"] = [
+                ["check", *_gen_args(name, order, "--n"), "--theta", theta,
+                 "--grid", grid, "--format", "json"]
+                for theta in ("-1", "-0.5", "0", "0.5", "1")
+            ]
+    return cases
+
+
+# (expression, theta, exit code, exact stderr) of check runs whose scans meet
+# an undefined point, or could meet one past the symmetry scan's early stop
+DOMAIN_PROBES = (
+    (
+        "x*(1-x)/4 + 0*(1/(x-0.001))",
+        "0.5",
+        1,
+        "error: division by zero in '1.0/(x-0.001)' at x=0.001\n",
+    ),
+    (
+        "x*(1-x)*sqrt(x)",
+        "0.5",
+        1,
+        "error: division by zero in '1.0/(2.0*sqrt(x))' at x=0.0\n",
+    ),
+    # phi(1-0.9) is undefined, but the symmetry scan stops before it reads it
+    ("x*(1-x)*(2+x)/4 + 0*(1/(x-0.09999999999999998))", "0.5", 0, ""),
+)
 
 
 SAMPLE_DIGESTS: dict[str, str] = {
@@ -595,6 +677,95 @@ CHECK_DIGESTS: dict[str, str] = {
 }
 
 
+SEEDED_CHECK_DIGESTS: dict[str, str] = {
+    "-0.5": "4204de54edc3ec0ed46503cd1bd8c2b6e86f40d38c107aaa0065d13d94b5c485",
+    "0": "8b615f1b1789a446cc89be0dd8d283a082ef2259dc1e370ea34c53a03d4160fe",
+    "0.5": "cd24c6f46c068d893d4982518888835c7b6cc43e7480053a152c002c59078146",
+}
+
+EDGE_CHECK_DIGESTS: dict[str, str] = {
+    "op:x*(1-x)*sqrt(x)@-1": "3ae2664f2dfb96de80e8d2c0804e92adbffc3a1667d17eb438f8c469c0326e06",
+    "oracle:x*(1-x)*sqrt(x)@-1": "3ae2664f2dfb96de80e8d2c0804e92adbffc3a1667d17eb438f8c469c0326e06",
+    "op:x*(1-x)*sqrt(x)@0.5": "3ae2664f2dfb96de80e8d2c0804e92adbffc3a1667d17eb438f8c469c0326e06",
+    "oracle:x*(1-x)*sqrt(x)@0.5": "3ae2664f2dfb96de80e8d2c0804e92adbffc3a1667d17eb438f8c469c0326e06",
+    "op:x^2*(1-x)@-1": "1cb3d163b758a6812584a2101a1f80ce1deb70951fb6d4ed9515cac76b8a860f",
+    "oracle:x^2*(1-x)@-1": "54df2ef895fa5da87d5f0723fc07875905d7e74188800f2316896048e7a70f39",
+    "op:x^2*(1-x)@0.5": "a8153ed04da5ecce3857a03915aee60f861cbcec11ad082bf4e252111885d840",
+    "oracle:x^2*(1-x)@0.5": "3fba353d3d8d7bdceb50e0a2027c2ace4ddbfd186ca2e9f0da354c4ed8a6993b",
+    "op:x*(1-x)*ln(1+x)@-1": "872c3360fd0ed03070bcdfb671052b395da7adbe289c2ade66dabd667c98d89d",
+    "oracle:x*(1-x)*ln(1+x)@-1": "dccfb2c390327ea1b51ebf268106a591b2ed51a0f9a3a2708354ee39165e5159",
+    "op:x*(1-x)*ln(1+x)@0.5": "eee924bdcea5ae88ad98dfccdb2808ca08b658073be17e1b52d82bf3dd0dcf6f",
+    "oracle:x*(1-x)*ln(1+x)@0.5": "9985d66ccc1e25f2b75dd2e88f356801890d4196ced18457232dd15dd402b6b5",
+    "op:0.9*min(x,1-x)@-1": "0ed65d27ff77c14c37bfba105cd42b413db995b6c3e9efb9020cf4d2aeb78ca7",
+    "oracle:0.9*min(x,1-x)@-1": "a3f398d77a6a0e23952618004e442b2dc196363f83025156fbb8dcfe82c8361f",
+    "op:0.9*min(x,1-x)@0.5": "c318344b848f5b9c0f8a4da0dafb503d3c669f774fe8efa7eff518af399ffc35",
+    "oracle:0.9*min(x,1-x)@0.5": "213840a08650c6abf381435dff6ce988ea13889c2cd690f2ac77fda88645c6e1",
+    "op:max(0, x*(1-x)-0.1)@-1": "77a6eaffc96b3c91365cf455d068ff9a34f013d37357f8fb3a3520733b3fd46a",
+    "oracle:max(0, x*(1-x)-0.1)@-1": "f15bd4fd73bc52a12eb96c742ddf522bad1e2e3b1ddc4ec55bd7581371e49dbb",
+    "op:max(0, x*(1-x)-0.1)@0.5": "fb60b63876a94bd45bb691a5ebec5f9c73b1de108f12fe5c29af45d9a7c904af",
+    "oracle:max(0, x*(1-x)-0.1)@0.5": "f3b7711dde52049bd53a7cd96bc5e62c29b62e0d94db7a74789a85e3d8c0804d",
+    "op:x*(1-x)*abs(sin(7*pi*x))/3@-1": "4185d60f21ba2b8cd530f26cc807714dc08ba492b8f097679e04a51a69db61e5",
+    "oracle:x*(1-x)*abs(sin(7*pi*x))/3@-1": "4185d60f21ba2b8cd530f26cc807714dc08ba492b8f097679e04a51a69db61e5",
+    "op:x*(1-x)*abs(sin(7*pi*x))/3@0.5": "4185d60f21ba2b8cd530f26cc807714dc08ba492b8f097679e04a51a69db61e5",
+    "oracle:x*(1-x)*abs(sin(7*pi*x))/3@0.5": "4185d60f21ba2b8cd530f26cc807714dc08ba492b8f097679e04a51a69db61e5",
+    "op:x*(1-x)^(2.5)@-1": "a9026173a985c19ee9796eb1b63f28ac6861bbfbed8d1133ea5f1ffbf43a124b",
+    "oracle:x*(1-x)^(2.5)@-1": "d78c61360f1916068cf8c97a110fbc9e87a0234fb5eb704943ddb5795f667ba2",
+    "op:x*(1-x)^(2.5)@0.5": "89f94a87534d9cebdad2b9fb44eca3a0e5af4544707c5a9359529cf449acbd35",
+    "oracle:x*(1-x)^(2.5)@0.5": "c00b88b35d79bbafbd17d7e19b384f33e25739e0dd47a2065a6d500b9c7bc716",
+    "op:x*(1-x)*2^x/4@-1": "32b2a220b41092a85ddc23a4b183fd84f811ff85337041861dd1f7454335a3b0",
+    "oracle:x*(1-x)*2^x/4@-1": "6b78afd4700bb9606eb2fddda9514c13319e95aed41ddd5c6bc6464485a63c17",
+    "op:x*(1-x)*2^x/4@0.5": "b078c486a1bd4701110540d8cf5569fee87a6cdbe6a17935754926b5655251a9",
+    "oracle:x*(1-x)*2^x/4@0.5": "b1bdee5c0546077acd199bf905b3a516831a7d5ae009057ea38fc84d13252d6b",
+    "op:0.7*sin(pi*x)@-1": "3109e437211b5339d3f2d2c703b4018602fd31c6ddae819bfe3bcc0d7166832c",
+    "oracle:0.7*sin(pi*x)@-1": "3109e437211b5339d3f2d2c703b4018602fd31c6ddae819bfe3bcc0d7166832c",
+    "op:0.7*sin(pi*x)@0.5": "3109e437211b5339d3f2d2c703b4018602fd31c6ddae819bfe3bcc0d7166832c",
+    "oracle:0.7*sin(pi*x)@0.5": "3109e437211b5339d3f2d2c703b4018602fd31c6ddae819bfe3bcc0d7166832c",
+    "op:1.5*x*(1-x)@-1": "e53ea6d1b00ad32a5e3eb77cb11fe332e0de6799e881a1eff2a00b9a57847b80",
+    "oracle:1.5*x*(1-x)@-1": "e53ea6d1b00ad32a5e3eb77cb11fe332e0de6799e881a1eff2a00b9a57847b80",
+    "op:1.5*x*(1-x)@0.5": "e53ea6d1b00ad32a5e3eb77cb11fe332e0de6799e881a1eff2a00b9a57847b80",
+    "oracle:1.5*x*(1-x)@0.5": "e53ea6d1b00ad32a5e3eb77cb11fe332e0de6799e881a1eff2a00b9a57847b80",
+    "op:x*(1-x)/4 + 0.0001*(1-cos(8192*pi*x))@-1": "f8ca424e6219d5d14815302d5a92163da285d45d818068df9610d98d47fe7d2c",
+    "oracle:x*(1-x)/4 + 0.0001*(1-cos(8192*pi*x))@-1": "c330997b0c804fa3ca7dcc2242aefcca11615cc55c40d61fe7e19e4dd6859efb",
+    "op:x*(1-x)/4 + 0.0001*(1-cos(8192*pi*x))@0.5": "14df7ade3411f435b54590f3c33801df59d1bdf4591fab12badb8c091491697d",
+    "oracle:x*(1-x)/4 + 0.0001*(1-cos(8192*pi*x))@0.5": "26251e02124ee02ca505ca42d515cb657d50f1158aac659c9e598d42dcff6bdc",
+    "op:0.2*x*(1-x)*(1+0.1*sqrt(max(0,x-0.5))^3)@-1": "208fb5503addba4fbde3bfd38dff8503ebb13061062256567d0288428e0e827a",
+    "oracle:0.2*x*(1-x)*(1+0.1*sqrt(max(0,x-0.5))^3)@-1": "208fb5503addba4fbde3bfd38dff8503ebb13061062256567d0288428e0e827a",
+    "op:0.2*x*(1-x)*(1+0.1*sqrt(max(0,x-0.5))^3)@0.5": "208fb5503addba4fbde3bfd38dff8503ebb13061062256567d0288428e0e827a",
+    "oracle:0.2*x*(1-x)*(1+0.1*sqrt(max(0,x-0.5))^3)@0.5": "208fb5503addba4fbde3bfd38dff8503ebb13061062256567d0288428e0e827a",
+    "op:x*(1-x)*0.1/(x-0.25)*(x-0.25)@-1": "1af6985abd77cd29274481a194bba19205a952a98e3c777d82fb62d8e1d1830d",
+    "oracle:x*(1-x)*0.1/(x-0.25)*(x-0.25)@-1": "1af6985abd77cd29274481a194bba19205a952a98e3c777d82fb62d8e1d1830d",
+    "op:x*(1-x)*0.1/(x-0.25)*(x-0.25)@0.5": "1af6985abd77cd29274481a194bba19205a952a98e3c777d82fb62d8e1d1830d",
+    "oracle:x*(1-x)*0.1/(x-0.25)*(x-0.25)@0.5": "1af6985abd77cd29274481a194bba19205a952a98e3c777d82fb62d8e1d1830d",
+}
+
+GRID_CHECK_DIGESTS: dict[str, str] = {
+    "phi1@grid3": "fa132c9ddbfccc888dc3de35bb224ca21af652e6e83d9d131c37bda25212b2f3",
+    "phi1@grid64": "b0be76920481b7ac2be987cfadeff0f38f6a071beea2db21fd0d09abbedc19bf",
+    "phi2@grid3": "5796357ed6a650d5e950761cd65554692e3f88774cea2430a1017e462278c58a",
+    "phi2@grid64": "8db8b92fd9b771a173e39d539e87cca5d2b4b2d451b4411fd73c993ed78ffeee",
+    "phi3@grid3": "57d0899813bca9e52c45d540e7d52b018159a59de031842d62b80615a2aec1fb",
+    "phi3@grid64": "59e89eb57fc2fd186342161676c386139cc77c3886e791fe01bca39535fd040c",
+    "phi4@grid3": "9f5a611d3e5893e97cf6426047eef074a5974287cd8a32ac600cdf9fac813f2e",
+    "phi4@grid64": "95f839fd9f0d6b5e85c9339c2d4f23aec8ecb10a3c7a3b564d75a74247445781",
+    "phi5n1@grid3": "3a87abb2f46dc708fb58ac7503b3f9e47a56d41b271017253430772c781f5021",
+    "phi5n1@grid64": "03695b391ee2bb2b21f8542d6254afdc14a2f5aa374d892a3bbeac1e842e5ec5",
+    "phi5n3@grid3": "1f0773382d88591668e1e65dd016967e9fbeb19fbe9284849573f0df8a8f86fa",
+    "phi5n3@grid64": "74d4446134823465bf35d8a6d39edd0d36f70e2e40ebb6a958fd088e0f6ecf03",
+    "phi6n2@grid3": "c2e9b23b6faa87b9b619eaad0b411c6af7b2830834db59fa964ab495cbfbc929",
+    "phi6n2@grid64": "5e388f4c90dd6427660b49fc183bdec783fca9450ed3bb1e93b1965f390384b2",
+    "phi6n5@grid3": "2efa8e825ecc482485644b4f1ad5e2a371b210423f2bf7983bd0f88f2e77c12e",
+    "phi6n5@grid64": "6f4ccaec141f620cc1508e6706c1336bf9924d28fe170861699096c57294bace",
+    "phi5n2@grid3": "86cc32f4c500063c2ea5ef39b08ad1e559a9e625a36ea63a4d2659c1a1071b74",
+    "phi5n2@grid64": "7bb557d993cca3e56ddb6a1873c4a73d8d3be8882365d049f2dea1e82c7568d5",
+    "phi5n8@grid3": "38cf1d68af3e22f025f21970c9f530d463b789499fc1885a5953ff89c57c8ba3",
+    "phi5n8@grid64": "e39f935d27cd09b1472704c6c9ef8f37a44d30e2ef491a8bfbb429411400ea89",
+    "phi6n3@grid3": "af8324e459b207986cb0d021f43612b66fb82997821ee53f085c1125c67a480c",
+    "phi6n3@grid64": "2e52c8cce24023ef3e13b844cb564ddf490fb0b85bd76c5b6894fa081ade2a3a",
+    "phi6n8@grid3": "6d08743df2530186cba952fa1cf0f2cc8a8b8f9740eb11bcc307cee7e7df125f",
+    "phi6n8@grid64": "17fdae52d3a68f2c53ed6db4c718947677145930e4e5b3dc191d41da0bd55d16",
+}
+
+
 def test_sample_csv_digests():
     assert _mismatches(sample_cases(), SAMPLE_DIGESTS) == []
 
@@ -651,3 +822,32 @@ def test_evaluate_array_matches_evaluate_on_the_validated_expressions():
                     bad.append(f"{label} of {text} at {x!r}: {value!r} != {want!r}")
                     break
     assert bad == []
+
+
+def test_seeded_check_digests():
+    got = {
+        theta: _transcript_digest(seeded_check_runs(theta))
+        for theta in SEEDED_CHECK_DIGESTS
+    }
+    assert got == SEEDED_CHECK_DIGESTS
+
+
+def test_edge_check_digests():
+    cases = edge_check_cases()
+    assert set(cases) == set(EDGE_CHECK_DIGESTS)
+    got = {key: _transcript_digest(runs) for key, runs in cases.items()}
+    assert [k for k in cases if got[k] != EDGE_CHECK_DIGESTS[k]] == []
+
+
+def test_grid_check_digests():
+    cases = grid_check_cases()
+    assert set(cases) == set(GRID_CHECK_DIGESTS)
+    got = {key: _transcript_digest(runs) for key, runs in cases.items()}
+    assert [k for k in cases if got[k] != GRID_CHECK_DIGESTS[k]] == []
+
+
+def test_domain_probes_keep_exit_code_and_stderr():
+    for text, theta, code, stderr in DOMAIN_PROBES:
+        got_code, out, err = _transcript(["check", "--phi-expr", text, "--theta", theta])
+        assert (got_code, err) == (code, stderr), text
+        assert (out == "") == (code != 0), text
