@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .generator import Generator, GeneratorValidationError, validate
+from .generator import Generator, GeneratorValidationError, raise_at_nan, validate
 from .numerics import RandomStream, bisect
 
 __all__ = ["Copula", "SamplePairs", "KinkPointError", "ThetaRangeError"]
@@ -133,29 +133,32 @@ class Copula:
     # -- grid forms ------------------------------------------------------------
 
     def cdf_grid(self, xs: Sequence[float]) -> np.ndarray:
-        """cdf on the tensor grid xs x xs, with one phi call per node.
+        """cdf on the tensor grid xs x xs, from phi once per node.
 
         Cell (i, j) equals cdf(xs[i], xs[j]) bit for bit: the products are
         formed in the same order, only broadcast.
         """
         nodes = self._grid_nodes(xs)
-        phi = np.array([self.gen.phi(x) for x in nodes])
-        return np.multiply.outer(nodes, nodes) + np.multiply.outer(self.theta * phi, phi)
+        phi = raise_at_nan(self.gen.phi, nodes, self.gen.phi_values(nodes))
+        grid = np.multiply.outer(nodes, nodes)
+        grid += np.multiply.outer(self.theta * phi, phi)
+        return grid
 
     def density_grid(self, xs: Sequence[float]) -> np.ndarray:
-        """density on the tensor grid xs x xs, with one phi' call per node.
+        """density on the tensor grid xs x xs, from phi' once per node.
 
         A cell whose u or v node sits on a declared kink takes the density at
         both coordinates nudged one ulp upward; every other cell equals
         density(xs[i], xs[j]) bit for bit.
         """
+        gen = self.gen
         nodes = self._grid_nodes(xs)
-        slope = np.array([self.gen.derivative(x) for x in nodes])
+        slope = raise_at_nan(gen.derivative, nodes, gen.derivative_values(nodes))
         grid = 1.0 + np.multiply.outer(self.theta * slope, slope)
-        on_kink = np.array([x in self.gen.kinks for x in nodes], dtype=bool)
+        on_kink = np.isin(nodes, gen.kinks)
         if on_kink.any():
-            up = [math.nextafter(x, 1.0) for x in nodes]
-            nudged = np.array([self.gen.derivative(x) for x in up])
+            up = np.nextafter(nodes, 1.0)
+            nudged = raise_at_nan(gen.derivative, up, gen.derivative_values(up))
             hit = np.logical_or.outer(on_kink, on_kink)
             grid[hit] = (1.0 + np.multiply.outer(self.theta * nudged, nudged))[hit]
         return grid
@@ -224,10 +227,11 @@ class Copula:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _grid_nodes(self, xs: Sequence[float]) -> list[float]:
-        nodes = [float(x) for x in xs]
-        for x in nodes:
-            self._check_unit("grid node", x)
+    def _grid_nodes(self, xs: Sequence[float]) -> np.ndarray:
+        nodes = np.array(xs, dtype=float)
+        outside = np.flatnonzero(~((nodes >= 0.0) & (nodes <= 1.0)))  # NaN too
+        if outside.size:
+            self._check_unit("grid node", float(nodes[outside[0]]))
         return nodes
 
     @staticmethod

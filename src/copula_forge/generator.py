@@ -26,7 +26,8 @@ skip the points where the relevant one-sided limits disagree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -41,6 +42,7 @@ from .exprlang import (
     parse,
     to_source,
 )
+from .numerics import uniform_grid
 
 __all__ = [
     "Generator",
@@ -81,10 +83,12 @@ class Generator:
     skip them.  `certified_valid` marks the shipped builtins, whose validity
     is an algebraic fact rather than a grid observation.  The exact
     unit-interval integrals of phi and |phi| are carried as Fractions when the
-    family is piecewise polynomial.  `phi_array` / `phi_prime_array` are
-    optional array forms of phi / phi' with NaN where the scalar form raises
-    EvaluationDomainError; without them `phi_values` / `derivative_values`
-    call the scalar form point by point.
+    family is piecewise polynomial.  `phi_array`, `phi_prime_array` and
+    `phi_second_array` are optional array forms of phi, phi' and phi'', bit
+    for bit the scalar form at every point, with NaN where the scalar form
+    raises EvaluationDomainError; without one, `phi_values`,
+    `derivative_values` or `second_derivative_values` call the scalar form
+    point by point.  The builtins and expression generators carry all three.
     """
 
     phi: Callable[[float], float]
@@ -99,6 +103,7 @@ class Generator:
     source: str | None = None
     phi_array: ArrayFn | None = None
     phi_prime_array: ArrayFn | None = None
+    phi_second_array: ArrayFn | None = None
 
     def derivative(self, x: float) -> float:
         return self.phi_prime(x)
@@ -118,6 +123,26 @@ class Generator:
             return self.phi_prime_array(xs)
         return _map_points(self.phi_prime, xs)
 
+    def second_derivative_values(self, xs: np.ndarray) -> np.ndarray:
+        """phi'' at every point of the 1-D array xs; NaN where it is undefined."""
+        if self.phi_second_array is not None:
+            return self.phi_second_array(xs)
+        return _map_points(self.phi_second, xs)
+
+
+def raise_at_nan(
+    fn: Callable[[float], float], xs: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """values, once the scalar form fn has been called at each of its NaNs.
+
+    The calls go in index order, so the first point where fn raises
+    EvaluationDomainError raises the error a point-by-point scan of xs meets
+    first.  A scalar form that returns NaN there leaves the NaN in place.
+    """
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        fn(float(xs[i]))
+    return values
+
 
 def _map_points(fn: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     """A scalar function over an array, NaN where it raises a domain error."""
@@ -132,6 +157,28 @@ def _map_points(fn: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Builtin catalog
+#
+# Each builtin carries array forms that equal its scalar lambdas bit for bit:
+# + - * /, sin and cos are numpy ufuncs, min and max copy Python's tie rule
+# (the first argument unless the second is strictly smaller or larger), and
+# every ** is Python's, point by point, because numpy's power does not round
+# like it.
+
+
+def _min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    return np.where(b > a, b, a)
+
+
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    return np.array([b**exponent for b in base.tolist()], dtype=float)
+
+
+def _constant(value: float) -> ArrayFn:
+    return lambda xs: np.full(np.shape(xs), value)
 
 
 def _phi1() -> Generator:
@@ -146,31 +193,47 @@ def _phi1() -> Generator:
         certified_valid=True,
         exact_integral=quarter,
         exact_abs_integral=quarter,
+        phi_array=lambda xs: _min(xs, 1.0 - xs),
+        phi_prime_array=lambda xs: np.where(xs <= 0.5, 1.0, -1.0),
+        phi_second_array=_constant(0.0),
     )
 
 
 def _phi2() -> Generator:
     sixth = Fraction(1, 6)
+    # these forms serve arrays as they are
+    phi = lambda x: x * (1.0 - x)
+    phi_prime = lambda x: 1.0 - 2.0 * x
     return Generator(
-        phi=lambda x: x * (1.0 - x),
-        phi_prime=lambda x: 1.0 - 2.0 * x,
+        phi=phi,
+        phi_prime=phi_prime,
         phi_second=lambda x: -2.0,
         label="phi2",
         certified_valid=True,
         exact_integral=sixth,
         exact_abs_integral=sixth,
+        phi_array=phi,
+        phi_prime_array=phi_prime,
+        phi_second_array=_constant(-2.0),
     )
 
 
 def _phi3() -> Generator:
+    # these forms serve arrays as they are
+    phi = lambda x: x * (1.0 - x) * (1.0 - 2.0 * x)
+    phi_prime = lambda x: 1.0 - 6.0 * x + 6.0 * x * x
+    phi_second = lambda x: 12.0 * x - 6.0
     return Generator(
-        phi=lambda x: x * (1.0 - x) * (1.0 - 2.0 * x),
-        phi_prime=lambda x: 1.0 - 6.0 * x + 6.0 * x * x,
-        phi_second=lambda x: 12.0 * x - 6.0,
+        phi=phi,
+        phi_prime=phi_prime,
+        phi_second=phi_second,
         label="phi3",
         certified_valid=True,
         exact_integral=Fraction(0),
         exact_abs_integral=Fraction(1, 16),
+        phi_array=phi,
+        phi_prime_array=phi_prime,
+        phi_second_array=phi_second,
     )
 
 
@@ -182,6 +245,9 @@ def _phi4() -> Generator:
         phi_second=lambda x: -pi * math.sin(pi * x),
         label="phi4",
         certified_valid=True,
+        phi_array=lambda xs: np.sin(pi * xs) / pi,
+        phi_prime_array=lambda xs: np.cos(pi * xs),
+        phi_second_array=lambda xs: -pi * np.sin(pi * xs),
     )
 
 
@@ -200,6 +266,12 @@ def _phi5(n: int) -> Generator:
         if x >= b:
             return 1.0 - x
         return cap_base - half_n * (x - 0.5) ** 2
+
+    def phi_array(xs: np.ndarray) -> np.ndarray:
+        out = np.where(xs <= a, xs, 1.0 - xs)
+        cap = (xs > a) & (xs < b)
+        out[cap] = cap_base - half_n * _pow(xs[cap] - 0.5, 2)
+        return out
 
     def phi_prime(x: float) -> float:
         return min(1.0, max(-1.0, n * (0.5 - x)))
@@ -222,27 +294,37 @@ def _phi5(n: int) -> Generator:
         certified_valid=True,
         exact_integral=exact,
         exact_abs_integral=exact,  # phi5 is nonnegative on [0, 1]
+        phi_array=phi_array,
+        phi_prime_array=lambda xs: _min(1.0, _max(-1.0, n * (0.5 - xs))),
+        phi_second_array=lambda xs: np.where((xs <= a) | (xs > b), 0.0, -float(n)),
     )
 
 
-def _phi6(n: int) -> Generator:
+def _phi6_forms(n: int, pw: Callable) -> tuple[Callable, Callable, Callable]:
+    """phi, phi' and phi'' of phi6, with every power taken by pw(base, exponent)."""
     inv_n = 1.0 / n
 
-    def phi(x: float) -> float:
-        s = x**n + (1.0 - x) ** n
-        return 1.0 - s**inv_n
+    def phi(x):
+        s = pw(x, n) + pw(1.0 - x, n)
+        return 1.0 - pw(s, inv_n)
 
-    def phi_prime(x: float) -> float:
-        s = x**n + (1.0 - x) ** n
-        p = x ** (n - 1) - (1.0 - x) ** (n - 1)
-        return -(s ** (inv_n - 1.0)) * p
+    def phi_prime(x):
+        s = pw(x, n) + pw(1.0 - x, n)
+        p = pw(x, n - 1) - pw(1.0 - x, n - 1)
+        return -pw(s, inv_n - 1.0) * p
 
-    def phi_second(x: float) -> float:
-        s = x**n + (1.0 - x) ** n
-        p = x ** (n - 1) - (1.0 - x) ** (n - 1)
-        q = x ** (n - 2) + (1.0 - x) ** (n - 2)
-        return -((inv_n - 1.0) * s ** (inv_n - 2.0) * n * p * p + s ** (inv_n - 1.0) * (n - 1) * q)
+    def phi_second(x):
+        s = pw(x, n) + pw(1.0 - x, n)
+        p = pw(x, n - 1) - pw(1.0 - x, n - 1)
+        q = pw(x, n - 2) + pw(1.0 - x, n - 2)
+        return -((inv_n - 1.0) * pw(s, inv_n - 2.0) * n * p * p + pw(s, inv_n - 1.0) * (n - 1) * q)
 
+    return phi, phi_prime, phi_second
+
+
+def _phi6(n: int) -> Generator:
+    phi, phi_prime, phi_second = _phi6_forms(n, operator.pow)
+    phi_array, phi_prime_array, phi_second_array = _phi6_forms(n, _pow)
     return Generator(
         phi=phi,
         phi_prime=phi_prime,
@@ -250,6 +332,9 @@ def _phi6(n: int) -> Generator:
         label=f"phi6[n={n}]",
         n=n,
         certified_valid=True,
+        phi_array=phi_array,
+        phi_prime_array=phi_prime_array,
+        phi_second_array=phi_second_array,
     )
 
 
@@ -283,8 +368,9 @@ def from_expression(expr: Expression | str) -> Generator:
 
     The expression is probed at x in {0, 0.5, 1}; a domain error there is
     raised immediately (the function cannot be a generator if it is not even
-    defined on [0, 1]).  First and second derivatives are symbolic, and phi
-    and phi' come with array forms that evaluate the tree over whole grids.
+    defined on [0, 1]).  First and second derivatives are symbolic, and phi,
+    phi' and phi'' come with array forms that evaluate the tree over whole
+    grids.
     """
     if isinstance(expr, str):
         tree = parse(expr)
@@ -304,6 +390,7 @@ def from_expression(expr: Expression | str) -> Generator:
         source=source,
         phi_array=lambda xs: evaluate_array(tree, xs),
         phi_prime_array=lambda xs: evaluate_array(d1, xs),
+        phi_second_array=lambda xs: evaluate_array(d2, xs),
     )
 
 
@@ -438,8 +525,7 @@ def validate(gen: Generator, grid_points: int = 4097, tol: float = 1e-9) -> Vali
         raise ValueError("grid_points must be at least 3")
     if not (0.0 < tol < MAX_TOL):  # also refuses NaN
         raise ValueError(f"tol must be positive and below {MAX_TOL:g}")
-    xs = np.arange(grid_points) * (1.0 / (grid_points - 1))
-    xs[-1] = 1.0
+    xs = uniform_grid(grid_points)
     checks = (
         _check_endpoints(gen, tol),
         _check_derivative_bound(gen, xs, tol),

@@ -24,6 +24,7 @@ sum reduces, so the result depends only on the integrand and the rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,6 +42,8 @@ __all__ = [
     "eval_grid",
     "gauss_axis",
     "aligned_panels",
+    "uniform_grid",
+    "legendre_rule",
     "bisect",
 ]
 
@@ -168,10 +171,30 @@ def aligned_panels(nodes: int) -> int:
     return 1
 
 
+def uniform_grid(points: int) -> np.ndarray:
+    """The nodes i/(points-1) of [0, 1]: i times the step, the last exactly 1."""
+    xs = np.arange(points) * (1.0 / (points - 1))
+    xs[-1] = 1.0
+    return xs
+
+
+@functools.lru_cache(maxsize=32)
+def legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    numpy solves an eigenproblem for every rule, which costs more than most
+    integrals that use it; the cached arrays are shared, so read-only.
+    """
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
+
+
 def gauss_axis(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Gauss-Legendre rule on [0, 1]."""
     per_panel = nodes // panels
-    base_x, base_w = np.polynomial.legendre.leggauss(per_panel)
+    base_x, base_w = legendre_rule(per_panel)
     xs = np.empty(nodes, dtype=float)
     ws = np.empty(nodes, dtype=float)
     scale = 1.0 / (2.0 * panels)

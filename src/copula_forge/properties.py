@@ -28,15 +28,16 @@ analogues and the report carries a ``negative_dependence`` flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .copula import Copula
-from .generator import Generator
+from .generator import Generator, raise_at_nan
 from .measures import density_grid
-from .numerics import aligned_panels, gauss_axis
+from .numerics import aligned_panels, gauss_axis, legendre_rule, uniform_grid
 
 __all__ = [
     "Verdict",
@@ -121,52 +122,65 @@ class PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# Grid scan helpers
+# The grid sample
 
 
-def _check_scan_args(grid: int, tol: float) -> None:
-    if grid < 3:
-        raise ValueError("grid must be at least 3")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+class GridSample:
+    """One generator read on one uniform grid, at one scan tolerance.
+
+    Holds the nodes xs and the nodes off the declared kinks.  phi(xs),
+    phi(1 - xs) and phi'' off the kinks are each one pass of the
+    generator's array forms, made on first use, and so are the sign scans
+    of phi and phi'' that pqd, si, tp2 and both orderings share.  NaN marks
+    a node where the scalar form raises EvaluationDomainError; every scan
+    passes what it reads to ``raise_at_nan`` in the order the point-by-point
+    scans read it, so the first error they met is the one raised, and a NaN
+    no scan reads raises nothing.
+    """
+
+    def __init__(self, gen: Generator, grid: int, tol: float) -> None:
+        if grid < 3:
+            raise ValueError("grid must be at least 3")
+        if not (tol > 0.0):
+            raise ValueError("tol must be positive")
+        self.gen = gen
+        self.tol = tol
+        self.meta = f"grid={grid}, tol={tol:g}"
+        self.xs = uniform_grid(grid)
+        self.smooth_xs = self.xs[~np.isin(self.xs, gen.kinks)]
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.gen.phi_values(self.xs)
+
+    @cached_property
+    def mirrored(self) -> np.ndarray:
+        return self.gen.phi_values(1.0 - self.xs)
+
+    @cached_property
+    def phi_signs(self) -> tuple[float | None, float | None]:
+        """Earliest nodes with phi > tol and with phi < -tol."""
+        raise_at_nan(self.gen.phi, self.xs, self.phi)
+        return self._signs(self.xs, self.phi)
+
+    @cached_property
+    def curvature_signs(self) -> tuple[float | None, float | None]:
+        """The same for phi'', kink abscissae excluded."""
+        values = self.gen.second_derivative_values(self.smooth_xs)
+        raise_at_nan(self.gen.phi_second, self.smooth_xs, values)
+        return self._signs(self.smooth_xs, values)
+
+    def _signs(self, xs: np.ndarray, values: np.ndarray) -> tuple[float | None, float | None]:
+        firsts = (_first_index(values > self.tol), _first_index(values < -self.tol))
+        return tuple(None if i is None else float(xs[i]) for i in firsts)
 
 
-def _uniform_grid(grid: int) -> list[float]:
-    step = 1.0 / (grid - 1)
-    xs = [i * step for i in range(grid)]
-    xs[-1] = 1.0
-    return xs
+def _first_index(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
-def _first_sign_violations(
-    xs: Sequence[float], vals: Sequence[float], tol: float
-) -> tuple[float | None, float | None]:
-    """Earliest x with value > tol and earliest x with value < -tol."""
-    pos = neg = None
-    for x, v in zip(xs, vals):
-        if pos is None and v > tol:
-            pos = x
-        if neg is None and v < -tol:
-            neg = x
-        if pos is not None and neg is not None:
-            break
-    return pos, neg
-
-
-def _first_monotone_violations(
-    xs: Sequence[float], vals: Sequence[float], tol: float
-) -> tuple[tuple[float, float] | None, tuple[float, float] | None]:
-    """Earliest adjacent rise pair and earliest adjacent drop pair."""
-    rise = drop = None
-    for i in range(len(xs) - 1):
-        delta = vals[i + 1] - vals[i]
-        if rise is None and delta > tol:
-            rise = (xs[i], xs[i + 1])
-        if drop is None and delta < -tol:
-            drop = (xs[i], xs[i + 1])
-        if rise is not None and drop is not None:
-            break
-    return rise, drop
+_CURVATURE_HOW = "symbolic second derivative, kink abscissae excluded"
 
 
 def _sign_verdict(
@@ -186,20 +200,6 @@ def _monotone_direction(rise, drop) -> str:
     return "nonincreasing" if rise is None else "nondecreasing"
 
 
-def _curvature_scan(
-    gen: Generator, xs: Sequence[float], tol: float
-) -> tuple[float | None, float | None, str]:
-    """Earliest points of positive / negative second derivative.
-
-    Declared kink abscissae are excluded.
-    """
-    kinkset = set(gen.kinks)
-    pts = [x for x in xs if x not in kinkset]
-    vals = [gen.phi_second(x) for x in pts]
-    pos, neg = _first_sign_violations(pts, vals, tol)
-    return pos, neg, "symbolic second derivative, kink abscissae excluded"
-
-
 # ---------------------------------------------------------------------------
 # Symmetry
 
@@ -213,19 +213,25 @@ def symmetry_check(
     phi(u) = phi(1-u) for all u (even) or phi(u) = -phi(1-u) for all u
     (odd); it is jointly symmetric iff the odd identity holds.
     """
-    _check_scan_args(grid, tol)
-    xs = _uniform_grid(grid)
-    even_viol = odd_viol = None
-    for u in xs:
-        mirrored = gen.phi(1.0 - u)
-        here = gen.phi(u)
-        if even_viol is None and abs(here - mirrored) > tol:
-            even_viol = u
-        if odd_viol is None and abs(here + mirrored) > tol:
-            odd_viol = u
-        if even_viol is not None and odd_viol is not None:
-            break
-    meta = f"grid={grid}, tol={tol:g}"
+    return _symmetry(GridSample(gen, grid, tol))
+
+
+def _symmetry(sample: GridSample) -> tuple[Verdict, Verdict]:
+    # The point-by-point scan read phi(1-u), then phi(u), node by node, and
+    # stopped at the node where it held both witnesses: a NaN up to that
+    # node raises, one past it was never read.
+    xs, here, mirrored, tol = sample.xs, sample.phi, sample.mirrored, sample.tol
+    with np.errstate(invalid="ignore", over="ignore"):  # as Python's float ops
+        even = _first_index(np.abs(here - mirrored) > tol)
+        odd = _first_index(np.abs(here + mirrored) > tol)
+    stop = xs.size if even is None or odd is None else max(even, odd) + 1
+    undefined = np.isnan(here[:stop]) | np.isnan(mirrored[:stop])
+    for i in np.flatnonzero(undefined).tolist():
+        u = float(xs[i])
+        sample.gen.phi(1.0 - u)
+        sample.gen.phi(u)
+    even_viol, odd_viol = (None if i is None else float(xs[i]) for i in (even, odd))
+    meta = sample.meta
     if even_viol is None and odd_viol is None:
         radial = Verdict(
             status="holds",
@@ -275,21 +281,21 @@ def ordering_check(
     that verdict is never "fails": a sign-changing curvature yields
     "inconclusive".
     """
-    _check_scan_args(grid, tol)
-    xs = _uniform_grid(grid)
-    phivals = [gen.phi(x) for x in xs]
-    meta = f"grid={grid}, tol={tol:g}"
-    pos, neg = _first_sign_violations(xs, phivals, tol)
+    return _ordering(GridSample(gen, grid, tol))
+
+
+def _ordering(sample: GridSample) -> tuple[Verdict, Verdict]:
+    meta = sample.meta
     concordance = _sign_verdict(
-        pos,
-        neg,
+        *sample.phi_signs,
         holds_note=f"phi keeps one sign, so the family is pointwise monotone in theta ({meta})",
         fails_note=(
             "phi takes both signs: witness = (u_pos, u_neg) with phi(u_pos) > tol "
             f"and phi(u_neg) < -tol, so C is not monotone in theta at (u_pos, u_neg) ({meta})"
         ),
     )
-    cpos, cneg, how = _curvature_scan(gen, xs, tol)
+    cpos, cneg = sample.curvature_signs
+    how = _CURVATURE_HOW
     if cpos is None or cneg is None:
         shape = "constant-curvature"
         if cpos is None and cneg is not None:
@@ -312,8 +318,33 @@ def ordering_check(
     return concordance, si
 
 
-def _holds_all(note: str) -> Callable[[], Verdict]:
-    return lambda: Verdict(status="holds", note=note)
+def _tail_verdict(sample: GridSample, vals: np.ndarray, ratio: str, suffix: str) -> Verdict:
+    """Monotonicity of the tail ratio phi(u)/u or phi(u)/(u-1) on the grid.
+
+    The witnesses are the earliest adjacent node pairs across which the
+    ratio rises and falls by more than tol.
+    """
+    xs, tol = sample.xs, sample.tol
+    with np.errstate(invalid="ignore"):  # inf - inf compares false, as in Python
+        delta = np.diff(vals)
+    rise, drop = (
+        None if i is None else (float(xs[i]), float(xs[i + 1]))
+        for i in (_first_index(delta > tol), _first_index(delta < -tol))
+    )
+    meta = sample.meta
+    if rise is None or drop is None:
+        return Verdict(
+            status="holds",
+            note=f"{ratio} is {_monotone_direction(rise, drop)} ({meta}){suffix}",
+        )
+    return Verdict(
+        status="fails",
+        witness=(rise, drop),
+        note=(
+            f"{ratio} is not monotone: it rises across the first pair "
+            f"and falls across the second ({meta}){suffix}"
+        ),
+    )
 
 
 def dependence_profile(
@@ -323,13 +354,13 @@ def dependence_profile(
 
     Every verdict in the report comes from conditions on phi (method
     "phi_condition"); use the oracle functions for definition-level
-    cross-checks.
+    cross-checks.  One grid sample serves every scan, and the curvature
+    scan runs once for si, tp2 and si_ordered.
     """
-    _check_scan_args(grid, tol)
+    sample = GridSample(gen, grid, tol)
     if math.isnan(theta) or not (-1.0 <= theta <= 1.0):
         raise ValueError("theta must lie in [-1, 1]")
-    xs = _uniform_grid(grid)
-    meta = f"grid={grid}, tol={tol:g}"
+    xs, meta = sample.xs, sample.meta
     verdicts: dict[str, Verdict] = {}
 
     negative = theta < 0.0
@@ -342,18 +373,10 @@ def dependence_profile(
 
     if theta == 0.0:
         note = "theta = 0: independence copula, property holds with equality"
-        radial = Verdict(status="holds", note=note)
-        joint = Verdict(status="holds", note=note)
-    else:
-        radial, joint = symmetry_check(gen, grid, tol)
-    verdicts["radial_symmetry"] = radial
-    verdicts["joint_symmetry"] = joint
-
-    if theta == 0.0:
-        note = "theta = 0: independence copula, property holds with equality"
-        for key in ("pfd", "pqd", "ltd", "rti", "si", "lcsd", "rcsi", "tp2"):
+        for key in PROPERTY_KEYS[:-2]:  # all but the two orderings
             verdicts[key] = Verdict(status="holds", note=note)
     else:
+        verdicts["radial_symmetry"], verdicts["joint_symmetry"] = _symmetry(sample)
         verdicts["pfd"] = Verdict(
             status="holds",
             note=(
@@ -367,11 +390,8 @@ def dependence_profile(
             ),
         )
 
-        phivals = [gen.phi(x) for x in xs]
-        pos, neg = _first_sign_violations(xs, phivals, tol)
         verdicts["pqd"] = _sign_verdict(
-            pos,
-            neg,
+            *sample.phi_signs,
             holds_note=f"phi keeps one sign ({meta}){suffix}",
             fails_note=(
                 "phi takes both signs: witness = (u_pos, u_neg) with "
@@ -382,45 +402,15 @@ def dependence_profile(
 
         # phi(u)/u with the u -> 0 limit phi'(0+), and phi(u)/(u-1) with the
         # u -> 1 limit phi'(1-); phi(0) = phi(1) = 0 makes these continuous.
-        ltd_vals = [gen.derivative(0.0)] + [gen.phi(x) / x for x in xs[1:]]
-        rise, drop = _first_monotone_violations(xs, ltd_vals, tol)
-        if rise is None or drop is None:
-            verdicts["ltd"] = Verdict(
-                status="holds",
-                note=(
-                    f"phi(u)/u is {_monotone_direction(rise, drop)} ({meta}){suffix}"
-                ),
-            )
-        else:
-            verdicts["ltd"] = Verdict(
-                status="fails",
-                witness=(rise, drop),
-                note=(
-                    "phi(u)/u is not monotone: it rises across the first pair "
-                    f"and falls across the second ({meta}){suffix}"
-                ),
-            )
+        phi = sample.phi
+        with np.errstate(over="ignore"):  # Python's float division overflows to inf too
+            ltd_vals = np.concatenate(([gen.derivative(0.0)], phi[1:] / xs[1:]))
+            verdicts["ltd"] = _tail_verdict(sample, ltd_vals, "phi(u)/u", suffix)
+            rti_vals = np.concatenate((phi[:-1] / (xs[:-1] - 1.0), [gen.derivative(1.0)]))
+            verdicts["rti"] = _tail_verdict(sample, rti_vals, "phi(u)/(u-1)", suffix)
 
-        rti_vals = [gen.phi(x) / (x - 1.0) for x in xs[:-1]] + [gen.derivative(1.0)]
-        rise, drop = _first_monotone_violations(xs, rti_vals, tol)
-        if rise is None or drop is None:
-            verdicts["rti"] = Verdict(
-                status="holds",
-                note=(
-                    f"phi(u)/(u-1) is {_monotone_direction(rise, drop)} ({meta}){suffix}"
-                ),
-            )
-        else:
-            verdicts["rti"] = Verdict(
-                status="fails",
-                witness=(rise, drop),
-                note=(
-                    "phi(u)/(u-1) is not monotone: it rises across the first "
-                    f"pair and falls across the second ({meta}){suffix}"
-                ),
-            )
-
-        cpos, cneg, how = _curvature_scan(gen, xs, tol)
+        cpos, cneg = sample.curvature_signs
+        how = _CURVATURE_HOW
         if cpos is None or cneg is None:
             shape = "concave" if cpos is None else "convex"
             if cpos is None and cneg is None:
@@ -439,28 +429,15 @@ def dependence_profile(
                 ),
             )
 
-        verdicts["lcsd"] = Verdict(
-            status=verdicts["ltd"].status,
-            witness=verdicts["ltd"].witness,
-            note="equivalent to LTD in this family; " + verdicts["ltd"].note,
-        )
-        verdicts["rcsi"] = Verdict(
-            status=verdicts["rti"].status,
-            witness=verdicts["rti"].witness,
-            note="equivalent to RTI in this family; " + verdicts["rti"].note,
-        )
-        verdicts["tp2"] = Verdict(
-            status=verdicts["si"].status,
-            witness=verdicts["si"].witness,
-            note=(
-                "density total positivity reduces to phi' monotone, i.e. the "
-                "same curvature condition as SI; " + verdicts["si"].note
-            ),
-        )
+        for key, source, reason in (
+            ("lcsd", "ltd", "equivalent to LTD in this family; "),
+            ("rcsi", "rti", "equivalent to RTI in this family; "),
+            ("tp2", "si", "density total positivity reduces to phi' monotone, i.e. the "
+             "same curvature condition as SI; "),
+        ):
+            verdicts[key] = replace(verdicts[source], note=reason + verdicts[source].note)
 
-    concordance, si_ordered = ordering_check(gen, grid, tol)
-    verdicts["concordance_ordered"] = concordance
-    verdicts["si_ordered"] = si_ordered
+    verdicts["concordance_ordered"], verdicts["si_ordered"] = _ordering(sample)
 
     return PropertyReport(
         label=gen.label,
@@ -485,13 +462,15 @@ def oracle_pqd(cop: Copula, grid: int = 201) -> Verdict:
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    xs = _uniform_grid(grid)
-    below = cop.cdf_grid(xs) - np.multiply.outer(xs, xs) < -_ORACLE_TOL
+    xs = uniform_grid(grid)
+    excess = cop.cdf_grid(xs)
+    excess -= np.multiply.outer(xs, xs)
+    below = excess < -_ORACLE_TOL
     if below.any():
         i, j = np.unravel_index(np.argmax(below), below.shape)  # first, row-major
         return Verdict(
             status="fails",
-            witness=(xs[i], xs[j]),
+            witness=(float(xs[i]), float(xs[j])),
             note=f"cdf(u,v) < uv - {_ORACLE_TOL:g} at the witness (grid={grid})",
             method="definition_oracle",
         )
@@ -502,17 +481,15 @@ def oracle_pqd(cop: Copula, grid: int = 201) -> Verdict:
     )
 
 
-def _pair_diff_extremes(d: Sequence[float]) -> tuple[float, float]:
-    """min and max of d[i] - d[j] over ordered index pairs i < j."""
-    lo = math.inf
-    hi = -math.inf
-    pref_min = pref_max = d[0]
-    for j in range(1, len(d)):
-        lo = min(lo, pref_min - d[j])
-        hi = max(hi, pref_max - d[j])
-        pref_min = min(pref_min, d[j])
-        pref_max = max(pref_max, d[j])
-    return lo, hi
+def _first_ordered_pair(
+    d: np.ndarray, breaks: Callable[[np.ndarray], np.ndarray]
+) -> tuple[int, int] | None:
+    """The first (i, j) with i < j, in row-major order, where breaks(d[i] - d[j])."""
+    for i in range(d.size - 1):
+        hits = np.flatnonzero(breaks(d[i] - d[i + 1 :]))
+        if hits.size:
+            return i, i + 1 + int(hits[0])
+    return None
 
 
 def oracle_tp2(cop: Copula, grid: int = 101) -> Verdict:
@@ -526,18 +503,15 @@ def oracle_tp2(cop: Copula, grid: int = 101) -> Verdict:
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    kinkset = set(cop.gen.kinks)
-    xs = []
-    for k in range(grid):
-        x = (k + 0.5) / grid
-        if x in kinkset:
-            x = math.nextafter(x, 1.0)
-        xs.append(x)
-    d = [cop.gen.derivative(x) for x in xs]
+    gen = cop.gen
+    xs = (np.arange(grid) + 0.5) / grid
+    xs = np.where(np.isin(xs, gen.kinks), np.nextafter(xs, 1.0), xs)
+    d = gen.derivative_values(xs)
+    raise_at_nan(gen.derivative, xs, d)
     theta = cop.theta
-    lo, hi = _pair_diff_extremes(d)
-    if lo > hi:  # grid too small for any ordered pair
-        lo = hi = 0.0
+    # min and max of d[i] - d[j] over i < j, through prefix extremes
+    lo = float((np.minimum.accumulate(d)[:-1] - d[1:]).min())
+    hi = float((np.maximum.accumulate(d)[:-1] - d[1:]).max())
     worst = min(theta * lo * lo, theta * lo * hi, theta * hi * hi)
     note_meta = f"grid={grid}, factorized scan, tol={_ORACLE_TOL:g}"
     if worst >= -_ORACLE_TOL:
@@ -549,21 +523,17 @@ def oracle_tp2(cop: Copula, grid: int = 101) -> Verdict:
             ),
             method="definition_oracle",
         )
+    # the first pair (u1, u2) in row-major order that some (v1, v2) breaks,
+    # then the first such (v1, v2)
     witness = None
-    for i in range(len(xs)):
-        if witness is not None:
-            break
-        for j in range(i + 1, len(xs)):
-            d1 = d[i] - d[j]
-            if theta * d1 * lo < -_ORACLE_TOL or theta * d1 * hi < -_ORACLE_TOL:
-                for l in range(len(xs)):
-                    if witness is not None:
-                        break
-                    for m in range(l + 1, len(xs)):
-                        if theta * d1 * (d[l] - d[m]) < -_ORACLE_TOL:
-                            witness = (xs[i], xs[j], xs[l], xs[m])
-                            break
-                break
+    first = _first_ordered_pair(
+        d,
+        lambda diff: (theta * diff * lo < -_ORACLE_TOL) | (theta * diff * hi < -_ORACLE_TOL),
+    )
+    if first is not None:
+        scaled = theta * (d[first[0]] - d[first[1]])
+        second = _first_ordered_pair(d, lambda diff: scaled * diff < -_ORACLE_TOL)
+        witness = tuple(float(xs[k]) for k in (*first, *second))
     return Verdict(
         status="fails",
         witness=witness,
@@ -614,12 +584,17 @@ def pfd_closed_form(
     gen = cop.gen
     interior = {k for k in (*gen.kinks, *breakpoints) if 0.0 < k < 1.0}
     cuts = [0.0, *sorted(interior), 1.0]
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
+    base_x, base_w = legendre_rule(nodes)
+    panels = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(cuts, cuts[1:])]
+    xs = np.concatenate([mid + half * base_x for mid, half in panels])
+    slopes = gen.derivative_values(xs).tolist()
+    halves = [half for _, half in panels for _ in range(nodes)]
+    weights = base_w.tolist() * len(panels)
+    # a plain running sum, in node order: np.sum would pair the terms
     total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        for t, w in zip(base_x, base_w):
-            x = mid + half * float(t)
-            total += float(w) * half * g(x) * gen.derivative(x)
+    for x, w, half, slope in zip(xs.tolist(), weights, halves, slopes):
+        gx = g(x)
+        if math.isnan(slope):  # undefined: the scalar form raises its error
+            slope = gen.derivative(x)
+        total += w * half * gx * slope
     return cop.theta * (total * total)

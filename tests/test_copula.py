@@ -381,8 +381,11 @@ def _raises_on_band(fn, lo: float, hi: float):
 @pytest.mark.parametrize("field", ["phi", "phi_prime"])
 def test_sample_domain_error_matches_pair_by_pair(field):
     fgm = builtin("phi2")
+    # a new scalar form drops the builtin's array form, which knows no band
     gen = dataclasses.replace(
-        fgm, label="banded", **{field: _raises_on_band(getattr(fgm, field), 0.3, 0.4)}
+        fgm,
+        label="banded",
+        **{field: _raises_on_band(getattr(fgm, field), 0.3, 0.4), f"{field}_array": None},
     )
     cop = Copula(gen, 0.5)
     with pytest.raises(EvaluationDomainError) as scalar:

@@ -16,6 +16,7 @@ from copula_forge.generator import (
     from_expression,
     validate,
 )
+from copula_forge.numerics import gauss_axis, legendre_rule, uniform_grid
 
 ALL_BUILTINS = [
     builtin("phi1"),
@@ -30,6 +31,55 @@ ALL_BUILTINS = [
     builtin("phi6", 3),
     builtin("phi6", 16),
 ]
+
+
+# ---------------------------------------------------------------------------
+# Array forms of the builtins
+
+ARRAY_FORM_BUILTINS = [
+    builtin("phi1"),
+    builtin("phi2"),
+    builtin("phi3"),
+    builtin("phi4"),
+    *(builtin("phi5", n) for n in (1, 2, 3, 8)),
+    *(builtin("phi6", n) for n in (2, 3, 5, 8)),
+]
+
+
+def _array_form_points(gen: Generator) -> np.ndarray:
+    """Scan grids and their mirrors, Gauss nodes, random points, kinks."""
+    grids = [uniform_grid(1001), uniform_grid(4097)]
+    gauss = [gauss_axis(nodes, 16)[0] for nodes in (64, 128, 256)]
+    # the nodes of pfd_closed_form: 64 per piece between the kinks
+    cuts = [0.0, *gen.kinks, 1.0]
+    base_x, _ = legendre_rule(64)
+    pieces = [0.5 * (a + b) + 0.5 * (b - a) * base_x for a, b in zip(cuts, cuts[1:])]
+    kinks = np.array(gen.kinks)
+    return np.concatenate([
+        *grids,
+        *(1.0 - g for g in grids),
+        *gauss,
+        *pieces,
+        np.random.default_rng(10).uniform(0.0, 1.0, 500),
+        kinks,
+        np.nextafter(kinks, 1.0),
+    ])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gen", ARRAY_FORM_BUILTINS, ids=lambda g: g.label)
+def test_builtin_array_forms_equal_scalar_forms_bit_for_bit(gen):
+    xs = _array_form_points(gen)
+    for name, point_form, array_form in (
+        ("phi", gen.phi, gen.phi_values),
+        ("phi'", gen.phi_prime, gen.derivative_values),
+        ("phi''", gen.phi_second, gen.second_derivative_values),
+    ):
+        got = array_form(xs)
+        want = np.array([point_form(x) for x in xs.tolist()])
+        assert got.dtype == np.float64 and got.shape == xs.shape, name
+        differ = got.view(np.uint64) != want.view(np.uint64)  # sign of zero too
+        assert not differ.any(), (name, xs[differ][:5].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from copula_forge.copula import Copula
-from copula_forge.generator import Generator, builtin
+from copula_forge.exprlang import EvaluationDomainError, Var
+from copula_forge.generator import Generator, builtin, from_expression
+from copula_forge.numerics import uniform_grid
 from copula_forge.properties import (
     PROPERTY_KEYS,
     dependence_profile,
@@ -329,3 +334,141 @@ def test_oracle_resolution_rules():
     cop = Copula(builtin("phi2"), 0.5)
     with pytest.raises(ValueError):
         oracle_pfd(cop, lambda t: t, resolution=8)
+
+
+# ---------------------------------------------------------------------------
+# One grid sample: array scans with the reads of the point-by-point scans
+
+
+def _raising(fn, undefined):
+    """fn, raising EvaluationDomainError wherever undefined(x) holds."""
+
+    def form(x: float) -> float:
+        if undefined(x):
+            raise EvaluationDomainError("test hole", Var(), x)
+        return fn(x)
+
+    return form
+
+
+def _holed_phi2(with_arrays: bool) -> Generator:
+    """phi2 with phi' undefined at 1 and phi'' undefined on (0.2, 0.3)."""
+    fgm = builtin("phi2")
+    gen = Generator(
+        phi=fgm.phi,
+        phi_prime=_raising(fgm.phi_prime, lambda x: x == 1.0),
+        phi_second=_raising(fgm.phi_second, lambda x: 0.2 < x < 0.3),
+        label="holed",
+    )
+    if not with_arrays:
+        return gen
+    return dataclasses.replace(
+        gen,
+        phi_array=fgm.phi_array,
+        phi_prime_array=lambda xs: np.where(xs == 1.0, np.nan, fgm.phi_prime_array(xs)),
+        phi_second_array=lambda xs: np.where((xs > 0.2) & (xs < 0.3), np.nan, -2.0),
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("with_arrays", [True, False], ids=["arrays", "points"])
+def test_profile_raises_the_first_error_in_read_order(with_arrays):
+    gen = _holed_phi2(with_arrays)
+    # theta != 0: the rti scan reads phi'(1) before the curvature scan runs
+    with pytest.raises(EvaluationDomainError) as err:
+        dependence_profile(gen, 0.5)
+    assert err.value.x == 1.0
+    # theta = 0 reads only phi and phi''
+    for scan in (lambda: dependence_profile(gen, 0.0), lambda: ordering_check(gen)):
+        with pytest.raises(EvaluationDomainError) as err:
+            scan()
+        assert err.value.x == 0.201
+    assert symmetry_check(gen)[0].status == "holds"
+
+
+@pytest.mark.filterwarnings("error")
+def test_profile_raises_where_only_phi_second_is_undefined():
+    fgm = builtin("phi2")
+    gen = dataclasses.replace(
+        fgm,
+        label="curvature-hole",
+        phi_second=_raising(fgm.phi_second, lambda x: 0.2 < x < 0.3),
+        phi_second_array=lambda xs: np.where((xs > 0.2) & (xs < 0.3), np.nan, -2.0),
+    )
+    for theta in (-1.0, 0.0, 0.5):
+        with pytest.raises(EvaluationDomainError) as err:
+            dependence_profile(gen, theta)
+        assert err.value.x == 0.201
+
+
+@pytest.mark.filterwarnings("error")
+def test_profile_domain_probes():
+    with pytest.raises(EvaluationDomainError, match=r"'1\.0/\(x-0\.001\)' at x=0\.001$"):
+        dependence_profile(from_expression("x*(1-x)/4 + 0*(1/(x-0.001))"), 0.5)
+    for theta in (0.0, 0.5):
+        with pytest.raises(EvaluationDomainError) as err:
+            dependence_profile(from_expression("x*(1-x)*sqrt(x)"), theta)
+        assert err.value.x == 0.0
+    # phi(1-0.9) is undefined, but the symmetry scan has both witnesses by then
+    gen = from_expression("x*(1-x)*(2+x)/4 + 0*(1/(x-0.09999999999999998))")
+    assert dependence_profile(gen, 0.5).verdicts["radial_symmetry"].status == "fails"
+    assert symmetry_check(gen)[1].status == "fails"
+
+
+@pytest.mark.filterwarnings("error")
+def test_symmetry_scan_raises_at_a_hole_where_it_would_stop():
+    # the scan reads phi(1-u) at node k before it compares there, so a hole
+    # at the mirror of the node that completes its witnesses still raises
+    base = "x*(1-x)*(2+x)/4"
+    xs = uniform_grid(1001)
+    on_grid = set(xs.tolist())
+    k = next(k for k in range(2, 1000) if 1.0 - xs[k] not in on_grid)
+    phi = from_expression(base).phi_values
+    even = np.abs(phi(xs) - phi(1.0 - xs))
+    tol = float(even[k - 1])  # the even identity first breaks at node k
+    assert even[k] > tol and (even[:k] <= tol).all()
+    hole = 1.0 - float(xs[k])  # read only as the mirror of node k
+    probe = from_expression(f"{base} + 0*(1/(x-{hole!r}))")
+    with pytest.raises(EvaluationDomainError) as err:
+        symmetry_check(probe, tol=tol)
+    assert err.value.x == hole
+
+
+@pytest.mark.filterwarnings("error")
+def test_tail_monotonicity_counts_only_steps_beyond_tol():
+    gen = builtin("phi2")
+    xs = uniform_grid(1001)
+    ratio = np.concatenate(([gen.derivative(0.0)], gen.phi_values(xs)[1:] / xs[1:]))
+    steepest = float(-np.diff(ratio).min())  # phi(u)/u = 1 - u falls at every step
+    at = dependence_profile(gen, 0.5, tol=steepest).verdicts["ltd"]
+    below = dependence_profile(gen, 0.5, tol=float(np.nextafter(steepest, 0.0)))
+    assert at.status == "holds" and at.note.startswith("phi(u)/u is constant")
+    assert below.verdicts["ltd"].note.startswith("phi(u)/u is nonincreasing")
+
+
+def _first_tp2_witness(d, xs, theta, tol=1e-12):
+    """The point-by-point search: first (u1, u2) row-major, then (v1, v2)."""
+    diffs = [d[i] - d[j] for i in range(len(d)) for j in range(i + 1, len(d))]
+    lo, hi = min(diffs), max(diffs)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d1 = d[i] - d[j]
+            if theta * d1 * lo < -tol or theta * d1 * hi < -tol:
+                for l in range(len(d)):
+                    for m in range(l + 1, len(d)):
+                        if theta * d1 * (d[l] - d[m]) < -tol:
+                            return (xs[i], xs[j], xs[l], xs[m])
+    return None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, n, theta", [("phi3", None, 1.0), ("phi2", None, -0.7),
+                                            ("phi5", 4, -1.0), ("phi6", 3, -0.4)])
+def test_oracle_tp2_witness_is_the_first_in_row_major_order(name, n, theta):
+    cop = Copula(builtin(name, n), theta)
+    xs = [(k + 0.5) / 101 for k in range(101)]
+    xs = [np.nextafter(x, 1.0) if x in cop.gen.kinks else x for x in xs]
+    d = [cop.gen.derivative(float(x)) for x in xs]
+    verdict = oracle_tp2(cop)
+    assert verdict.status == "fails"
+    assert verdict.witness == _first_tp2_witness(d, xs, theta)
