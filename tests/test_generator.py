@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -41,7 +42,7 @@ ARRAY_FORM_BUILTINS = [
     builtin("phi2"),
     builtin("phi3"),
     builtin("phi4"),
-    *(builtin("phi5", n) for n in (1, 2, 3, 8)),
+    *(builtin("phi5", n) for n in (1, 2, 3, 4, 7, 8, 32)),
     *(builtin("phi6", n) for n in (2, 3, 5, 8)),
 ]
 
@@ -66,10 +67,34 @@ def _array_form_points(gen: Generator) -> np.ndarray:
     ])
 
 
+# SHA-256 of the float results of phi, phi' and phi'' (little-endian
+# float64, in that order) on _array_form_points, taken while each builtin
+# still wrote its float and array forms separately.  A digest that moves
+# means a formula changed.
+FLOAT_FORM_DIGESTS = {
+    "phi1": "99911c8ea79203a7bed91d792cc760d0c75dcbd2aeaa983e9d643ec4bc270c95",
+    "phi2": "16afa06e5852bfde63c262c9151f54646c93f4afd71ef2fdbd6c6cff9c4ad308",
+    "phi3": "28bfb5047286c5ee787c99385f4ad01349a9846badad36e4b0fbf3ae03d013b7",
+    "phi4": "871d8f8720307fa784da273f48abd42627de7c7018c1be3fb2b326b60a798f57",
+    "phi5[n=1]": "a69ce43b1bb80156ace6bbe682021923098a2b101d05bf9021294ec43389f737",
+    "phi5[n=2]": "c6abb9d872b728ab7429d3801966efdd9e2d69a583fdacee7c7f4bb332b4d62d",
+    "phi5[n=3]": "7c012e1eedd6c3fe524fb8f51fb7dbc1a5d65e99c4f802ee5d4736dc15099f81",
+    "phi5[n=4]": "968e132bc34b7388f845c9d6831d09a802064f2b6102ea54ec2f39054b1279cf",
+    "phi5[n=7]": "91f7ac69b59525cdfae3151d74d628f3d02606c939efc2e5829fb7f4285ba087",
+    "phi5[n=8]": "cd93b55c7eb24e5271e3c53ed3f98de3cc71bd47c7a010ee1872c3cde68b4d8c",
+    "phi5[n=32]": "c2aeeeaa57804c014364ae84da152e9cb30aedbf3e7dc96f5419e016b3fa23ed",
+    "phi6[n=2]": "5b63f2dfffb4f51dd7cdc606701bbcfb150684af1c8856766720ef881e675609",
+    "phi6[n=3]": "84b4b7c7f9472e608fef369a7a4449b54f12ed38c3fc19740840b7da25814a80",
+    "phi6[n=5]": "993c136d555ce87c13565423f98e804c43f40379e2356f7f1b0e5a952b9c6cc6",
+    "phi6[n=8]": "b3dc4b546f4e680d76a91607e832e8b9164c781d716a2050ae0329e576b0ef5d",
+}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("gen", ARRAY_FORM_BUILTINS, ids=lambda g: g.label)
 def test_builtin_array_forms_equal_scalar_forms_bit_for_bit(gen):
     xs = _array_form_points(gen)
+    digest = hashlib.sha256()
     for name, point_form, array_form in (
         ("phi", gen.phi, gen.phi_values),
         ("phi'", gen.phi_prime, gen.derivative_values),
@@ -80,6 +105,8 @@ def test_builtin_array_forms_equal_scalar_forms_bit_for_bit(gen):
         assert got.dtype == np.float64 and got.shape == xs.shape, name
         differ = got.view(np.uint64) != want.view(np.uint64)  # sign of zero too
         assert not differ.any(), (name, xs[differ][:5].tolist())
+        digest.update(want.astype("<f8").tobytes())
+    assert digest.hexdigest() == FLOAT_FORM_DIGESTS[gen.label]
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,18 @@ the validate and check digests while expressions were still evaluated one
 tree walk per point; the sample edge and seeded-generator digests while
 sample still solved one pair at a time with scalar bisection; the seeded,
 edge and grid check digests and the domain probes while the property
-profile still scanned phi one scalar call per grid point.  A digest that
+profile still scanned phi one scalar call per grid point; the closed-form
+measures, table1 and converge digests while every builtin still wrote its
+float and array forms of phi, phi' and phi'' separately.  A digest that
 moves means the code is wrong: ``sample`` promises the same bytes for
 the same (generator, theta, n, seed), and every other output is promised
 bit-identical to the per-cell and per-point evaluation.  Never update a
 digest to make a test pass.
 
-Commands run in process through ``copula_forge.cli.main``.  The last test
-checks the evaluator under the validate digests directly: array evaluation
-of phi and phi' against per-point evaluation, bit for bit.
+Commands run in process through ``copula_forge.cli.main``.  One test checks
+the evaluator under the validate digests directly: array evaluation of phi
+and phi' against per-point evaluation, bit for bit.  The theta-range
+refusals are pinned by their exact stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -332,6 +335,79 @@ DOMAIN_PROBES = (
     ),
     # phi(1-0.9) is undefined, but the symmetry scan stops before it reads it
     ("x*(1-x)*(2+x)/4 + 0*(1/(x-0.09999999999999998))", "0.5", 0, ""),
+)
+
+
+def closed_measures_cases() -> dict[str, list[str]]:
+    """measures by closed form; phi4 and phi6 reach adaptive Simpson."""
+    cases = {}
+    for label, name, order in _BUILTINS:
+        for theta in THETAS:
+            cases[f"{label}@{theta}"] = [
+                "measures", *_gen_args(name, order, "--n"), "--theta", theta,
+                "--method", "closed", "--format", "json",
+            ]
+    return cases
+
+
+def rootless_seeded_expressions() -> list[str]:
+    """The seeded templates whose phi keeps one strict sign inside (0, 1).
+
+    The sign is read on the interior nodes of the 4097-point grid.  A
+    template with an interior root is left out: its integral of |phi| has a
+    kink that the Simpson rule does not know about, and pinning it would
+    freeze that error.
+    """
+    xs = np.arange(1, 4096) * (1.0 / 4096)
+    out = []
+    for text in seeded_expressions():
+        values = evaluate_array(parse(text), xs)
+        if (values > 0.0).all() or (values < 0.0).all():
+            out.append(text)
+    return out
+
+
+def closed_measures_runs(texts: list[str], theta: str) -> list[list[str]]:
+    return [
+        ["measures", "--phi-expr", text, "--theta", theta,
+         "--method", "closed", "--format", "json"]
+        for text in texts
+    ]
+
+
+def table_cases() -> dict[str, list[str]]:
+    cases = {}
+    for theta in ("-1", "0.3", "1"):
+        cases[f"table1@{theta}"] = ["table1", "--theta", theta, "--format", "json"]
+    for theta in ("-1", "0.5"):
+        cases[f"converge@{theta}"] = [
+            "converge", "--theta", theta, "--n-max", "4", "--resolution", "64",
+            "--format", "json",
+        ]
+    return cases
+
+
+# (argv, exact stderr) of commands refused for theta outside [-1, 1]: exit 2
+THETA_ERRORS = (
+    (["table1", "--theta", "1.5"], "error: theta must lie in [-1, 1], got 1.5\n"),
+    (["table1", "--theta", "nan"], "error: theta must lie in [-1, 1], got nan\n"),
+    (["converge", "--theta", "-2"], "error: theta must lie in [-1, 1], got -2.0\n"),
+    (
+        ["converge", "--theta", "nan", "--n-max", "2"],
+        "error: theta must lie in [-1, 1], got nan\n",
+    ),
+    (
+        ["measures", "--phi", "phi2", "--theta", "1.5"],
+        "error: theta must lie in [-1, 1], got 1.5\n",
+    ),
+    (
+        ["check", "--phi", "phi2", "--theta", "nan"],
+        "error: theta must lie in [-1, 1], got nan\n",
+    ),
+    (
+        ["sample", "--phi", "phi2", "--theta", "-1.01", "--n", "3"],
+        "error: theta must lie in [-1, 1], got -1.01\n",
+    ),
 )
 
 
@@ -765,6 +841,58 @@ GRID_CHECK_DIGESTS: dict[str, str] = {
     "phi6n8@grid64": "17fdae52d3a68f2c53ed6db4c718947677145930e4e5b3dc191d41da0bd55d16",
 }
 
+CLOSED_MEASURES_DIGESTS: dict[str, str] = {
+    "phi1@-1": "b37418ebe354d0ebce788a6f1383c6cf07eeb8af5eecebc1c67dbf2eea026880",
+    "phi1@-0.3": "e39b9a148749c7a82ea18f1713a92a4fcadd78f0a180aceab8cf46cda8c06376",
+    "phi1@0.5": "c72a0cda01906596156028ffcede17ad0c6e7b1f4440bdb261294650a9dc7f4f",
+    "phi1@1": "b32b91b6c86c304c12b0fe859f636b2200fb223a0475450213ee64fe996731fa",
+    "phi2@-1": "c234125cb74bcf68116ef825f2cf3c1a2a31e2976926e7e6448b3e8dc24ce877",
+    "phi2@-0.3": "0dc9ffd8fa0a81b4ee05cc72e4174e0bd6cd220c58cdf601452ba81f866dc28b",
+    "phi2@0.5": "9aea0f4a1d5c18beba2639f912629b70023fdabb004035315e6807ab41b70436",
+    "phi2@1": "eba32766aac928a06670d97d44c7187b86156c97f29f0b17e4bc529e26ff3e36",
+    "phi3@-1": "e8f4b0933655992dd2113e2fc6f6995b1926af632c5c75871e0f70284da32550",
+    "phi3@-0.3": "d934926a5a65d507b98efe086453f1d61f0514ecee4e7d597eb35bc9e0037a0f",
+    "phi3@0.5": "91477736cc0a384c8eeaf94664c0973ad7c9c57a899c20b2f5b8397317f71f21",
+    "phi3@1": "84cf1d5bb376f2aabcbd860b55703ca4bc18c16bfdca8d3797cf312d53560b01",
+    "phi4@-1": "d6cda6c01dde094e2d4a732b01029d88b2bdfdf9615202ddc3db127b9ea7d017",
+    "phi4@-0.3": "30fc029c11de3a33ccf74c856cda7ebbb02259c4e20d888fea5ab84e1e511d98",
+    "phi4@0.5": "c3e97875c1af2ef09a545049c2ce531e4f378aafb3c0576566675c50eb7508c2",
+    "phi4@1": "85c899f47dbe5ce7fbdbdde902b6d50fcc451108f0aeb28cd4c3374f5f47d1a1",
+    "phi5n1@-1": "5c400ed851f8d4219f2be16d1b23a5e82d8fece2411e879b763144bc1f6af13b",
+    "phi5n1@-0.3": "07fc1d6c87c93241a04e2ebf6cc987bc3ac61094138b436289e533473f3ba621",
+    "phi5n1@0.5": "6378708fbdbaa9189eef15b7de3470151b504c845180ecb26aa99c41cfc17294",
+    "phi5n1@1": "d3d035d254c86c4e2b27e78cd757e14597121148713d1e7d098fea1450c06876",
+    "phi5n3@-1": "ac79098e01b43b368ecf08fc9c62fa1041938571a75c25fa9d03c683a1b1e904",
+    "phi5n3@-0.3": "e44574f7ea6256e6b3cfc8096b2821b33519fa2ff56e34b72b3b0ac849301d46",
+    "phi5n3@0.5": "274ac91d89021a17daa59a3bf571502f7097ebc21037bfd2b93010e8f717f6bc",
+    "phi5n3@1": "e4fb4de30e6a53f6fc0bfb8f2c656221cc4d78e12cb3739423b17487b621b927",
+    "phi6n2@-1": "ef6f57bced43106895d8e61ccccaedd414f35f363c9e9b28595707ac76a03cf1",
+    "phi6n2@-0.3": "ad58b4db4b8f45aebee78e666e069e7e74a2eed5e9dedc80124c1ff726500cd8",
+    "phi6n2@0.5": "c5db46da174914a06ddf14704ab0481ebddd7997cd8d414327d5479d03d40273",
+    "phi6n2@1": "8c9b351c1c5e569d6775b711281e8a28858a9af554c4452188fc744ba3217a68",
+    "phi6n5@-1": "5b06dc625f2c0c3ce7a6738c9497b8ced01641f9aa6c9082206f3baa524e07af",
+    "phi6n5@-0.3": "4dc8aa8c9db83eb4d85ad634e9fab4cda963eb7edd7f9d41ad3a98ce6dfabce3",
+    "phi6n5@0.5": "4956e39b1ab3abb280c9abae346015982055ddb8da218aedaab1882cd2634fd2",
+    "phi6n5@1": "11df61af907c0b1ec2899364b18c4c1f3f83300dc60f3cc7f9c1ae97aa893204",
+}
+
+# one digest per theta over the rootless seeded templates
+ROOTLESS_TEMPLATES = 62
+SEEDED_CLOSED_MEASURES_DIGESTS: dict[str, str] = {
+    "-1": "0f7a398801995c5fd480c8f07aa04941f2548c8c034655b65a8be329cfcbf01b",
+    "-0.3": "030f7474513549bd1ff5b369b9f06f38cf46b560a95a1b07f38af50e2ccbb11f",
+    "0.5": "a81aa46f72ada19f49321474bde28b0b8977a28e752cc9cbe790ced5eeef1de7",
+    "1": "f7e2168487b33d1d3d072bf7538a7c0e7f76055a94ee1490bc32e7744dd96b71",
+}
+
+TABLE_DIGESTS: dict[str, str] = {
+    "table1@-1": "700cc17b20d2926d9b9d0e5399d800d25635db1991473c72a16d658b3a9681e5",
+    "table1@0.3": "55b7f8d408b1c8d240d5b573c335f736ae602ee0916420577324933c94a16056",
+    "table1@1": "a4a1d5f676a059319816cd5089b0c1bb8e1d770691286cc5514ab36e416d6c28",
+    "converge@-1": "29f0c4082dbbb8759fe4c83b2caae23197689c704a55c6ada94aa2044fc4a9b1",
+    "converge@0.5": "14eb04832d20fb1c0311778aedc31ad288960e2d0982461bf7728a63e73023cd",
+}
+
 
 def test_sample_csv_digests():
     assert _mismatches(sample_cases(), SAMPLE_DIGESTS) == []
@@ -851,3 +979,26 @@ def test_domain_probes_keep_exit_code_and_stderr():
         got_code, out, err = _transcript(["check", "--phi-expr", text, "--theta", theta])
         assert (got_code, err) == (code, stderr), text
         assert (out == "") == (code != 0), text
+
+
+def test_closed_measures_json_digests():
+    assert _mismatches(closed_measures_cases(), CLOSED_MEASURES_DIGESTS) == []
+
+
+def test_seeded_closed_measures_digests():
+    texts = rootless_seeded_expressions()
+    assert len(texts) == ROOTLESS_TEMPLATES
+    got = {
+        theta: _transcript_digest(closed_measures_runs(texts, theta))
+        for theta in SEEDED_CLOSED_MEASURES_DIGESTS
+    }
+    assert got == SEEDED_CLOSED_MEASURES_DIGESTS
+
+
+def test_table1_and_converge_json_digests():
+    assert _mismatches(table_cases(), TABLE_DIGESTS) == []
+
+
+def test_theta_errors_keep_exit_code_and_stderr():
+    for argv, stderr in THETA_ERRORS:
+        assert _transcript(argv) == (2, "", stderr), argv
