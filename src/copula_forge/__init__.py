@@ -34,7 +34,6 @@ from .generator import (
 from .measures import (
     AssociationMeasures,
     closed_form_measures,
-    density_grid,
     empirical_rho,
     empirical_tau,
     quadrature_measures,
@@ -46,11 +45,8 @@ from .numerics import (
     QuadratureConfig,
     QuadratureError,
     RandomStream,
-    aligned_panels,
     bisect,
-    gauss_axis,
     integrate_1d,
-    integrate_2d,
 )
 from .properties import (
     PROPERTY_KEYS,
@@ -86,7 +82,6 @@ __all__ = [
     "AssociationMeasures",
     "closed_form_measures",
     "quadrature_measures",
-    "density_grid",
     "empirical_tau",
     "empirical_rho",
     "tau_phi5",
@@ -118,8 +113,5 @@ __all__ = [
     "ConvergenceError",
     "RandomStream",
     "integrate_1d",
-    "integrate_2d",
-    "gauss_axis",
-    "aligned_panels",
     "bisect",
 ]

@@ -25,7 +25,7 @@ import math
 import sys
 from typing import Callable, Sequence
 
-from .copula import Copula, ThetaRangeError
+from .copula import Copula, ThetaRangeError, check_theta
 from .exprlang import (
     EvaluationDomainError,
     ExpressionSyntaxError,
@@ -216,9 +216,9 @@ def _make_generator(args: argparse.Namespace) -> Generator:
         raise _CliError(1, "domain", str(err)) from err
 
 
-def _make_copula(gen: Generator, theta: float) -> Copula:
+def _theta_arg(theta: float) -> float:
     try:
-        return Copula(gen, theta)
+        return check_theta(theta)
     except ThetaRangeError as err:
         raise _CliError(2, "argument", str(err)) from err
 
@@ -314,7 +314,7 @@ def _measures_payload(m: AssociationMeasures) -> dict:
 def _cmd_measures(args: argparse.Namespace) -> int:
     _check_positive("--resolution", args.resolution, 16)
     gen = _make_generator(args)
-    cop = _make_copula(gen, args.theta)
+    cop = Copula(gen, _theta_arg(args.theta))
     closed = quad = None
     if args.method in ("closed", "both"):
         closed = closed_form_measures(cop)
@@ -359,9 +359,7 @@ def _cmd_measures(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    theta = args.theta
-    if math.isnan(theta) or not (-1.0 <= theta <= 1.0):
-        raise _CliError(2, "argument", f"theta must lie in [-1, 1], got {theta!r}")
+    theta = _theta_arg(args.theta)
     a = abs(theta)
     rows_payload = []
     worst = 0.0
@@ -425,7 +423,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if not (0 <= args.seed < 2**64):
         raise _CliError(2, "argument", "--seed must fit in 64 bits")
     gen = _make_generator(args)
-    cop = _make_copula(gen, args.theta)
+    cop = Copula(gen, _theta_arg(args.theta))
     pairs = cop.sample(args.n, args.seed)
     if args.format == "json":
         payload = {
@@ -448,7 +446,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     _check_positive("--resolution", args.resolution, 16)
     _check_tol(args.tol)
     gen = _make_generator(args)
-    cop = _make_copula(gen, args.theta)
+    cop = Copula(gen, _theta_arg(args.theta))
     report = dependence_profile(gen, args.theta, grid=args.grid, tol=args.tol)
     payload: dict = {"report": report.to_dict()}
     if args.oracle:
@@ -531,9 +529,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_converge(args: argparse.Namespace) -> int:
     _check_positive("--n-max", args.n_max, 1)
     _check_positive("--resolution", args.resolution, 16)
-    theta = args.theta
-    if math.isnan(theta) or not (-1.0 <= theta <= 1.0):
-        raise _CliError(2, "argument", f"theta must lie in [-1, 1], got {theta!r}")
+    theta = _theta_arg(args.theta)
     rows_payload = []
     for n in range(1, args.n_max + 1):
         formula = tau_phi5(n, theta)

@@ -12,7 +12,6 @@ the pointwise methods.  Sampling inverts the conditional cdf by bisection, so a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -30,6 +29,14 @@ class ThetaRangeError(ValueError):
 
 class KinkPointError(ValueError):
     """Derivative-based quantity requested exactly on a declared kink."""
+
+
+def check_theta(theta: float) -> float:
+    """theta as a float; ThetaRangeError outside [-1, 1], NaN included."""
+    theta = float(theta)
+    if not (-1.0 <= theta <= 1.0):
+        raise ThetaRangeError(f"theta must lie in [-1, 1], got {theta!r}")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,7 @@ class Copula:
     __slots__ = ("gen", "theta")
 
     def __init__(self, gen: Generator, theta: float) -> None:
-        theta = float(theta)
-        if math.isnan(theta) or not (-1.0 <= theta <= 1.0):
-            raise ThetaRangeError(f"theta must lie in [-1, 1], got {theta!r}")
+        theta = check_theta(theta)
         if not gen.certified_valid:
             report = validate(gen)
             if not report.overall_pass:
@@ -89,7 +94,7 @@ class Copula:
             raise KinkPointError(
                 f"density undefined at a kink of {self.gen.label} (u={u!r}, v={v!r})"
             )
-        return 1.0 + self.theta * self.gen.derivative(u) * self.gen.derivative(v)
+        return 1.0 + self.theta * self.gen.phi_prime(u) * self.gen.phi_prime(v)
 
     def conditional_cdf(self, u: float, v: float) -> float:
         """P(V <= v | U = u) = v + theta*phi'(u)*phi(v)."""
@@ -99,7 +104,7 @@ class Copula:
             raise KinkPointError(
                 f"conditional cdf undefined at a kink of {self.gen.label} (u={u!r})"
             )
-        return v + self.theta * self.gen.derivative(u) * self.gen.phi(v)
+        return v + self.theta * self.gen.phi_prime(u) * self.gen.phi(v)
 
     def conditional_quantile(self, u: float, w: float, tol: float = 1e-12) -> float:
         """Inverse of the conditional cdf in v, by bisection.
@@ -139,7 +144,7 @@ class Copula:
         formed in the same order, only broadcast.
         """
         nodes = self._grid_nodes(xs)
-        phi = raise_at_nan(self.gen.phi, nodes, self.gen.phi_values(nodes))
+        phi = raise_at_nan(self.gen.phi, nodes)
         grid = np.multiply.outer(nodes, nodes)
         grid += np.multiply.outer(self.theta * phi, phi)
         return grid
@@ -153,12 +158,12 @@ class Copula:
         """
         gen = self.gen
         nodes = self._grid_nodes(xs)
-        slope = raise_at_nan(gen.derivative, nodes, gen.derivative_values(nodes))
+        slope = raise_at_nan(gen.phi_prime, nodes)
         grid = 1.0 + np.multiply.outer(self.theta * slope, slope)
         on_kink = np.isin(nodes, gen.kinks)
         if on_kink.any():
             up = np.nextafter(nodes, 1.0)
-            nudged = raise_at_nan(gen.derivative, up, gen.derivative_values(up))
+            nudged = raise_at_nan(gen.phi_prime, up)
             hit = np.logical_or.outer(on_kink, on_kink)
             grid[hit] = (1.0 + np.multiply.outer(self.theta * nudged, nudged))[hit]
         return grid
@@ -198,8 +203,8 @@ class Copula:
         """
         gen = self.gen
         with np.errstate(over="ignore"):  # Python floats overflow to inf too
-            a = self.theta * gen.derivative_values(u)
-            phi0, phi1 = gen.phi_values(np.array([0.0, 1.0])).tolist()
+            a = self.theta * gen.phi_prime(u)
+            phi0, phi1 = gen.phi(np.array([0.0, 1.0])).tolist()
             f0 = 0.0 + a * phi0
             f1 = 1.0 + a * phi1
             low = w <= f0
@@ -213,7 +218,7 @@ class Copula:
                 if not live.size:
                     break
                 mid = 0.5 * (lo + hi)
-                fmid = mid + a * gen.phi_values(mid)
+                fmid = mid + a * gen.phi(mid)
                 nan = np.isnan(fmid)
                 stop = (np.abs(fmid - w) <= 1e-12) | ((hi - lo) <= 1e-12)
                 undefined[live[nan]] = True

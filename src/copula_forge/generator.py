@@ -29,6 +29,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -60,7 +62,7 @@ BUILTIN_NAMES = ("phi1", "phi2", "phi3", "phi4", "phi5", "phi6")
 
 MAX_TOL = 1e-3  # validate refuses a tolerance this large or larger
 
-ArrayFn = Callable[[np.ndarray], np.ndarray]
+Form = Callable  # a float to a float, or a 1-D float array to an array
 
 
 class GeneratorValidationError(ValueError):
@@ -78,22 +80,23 @@ class GeneratorValidationError(ValueError):
 class Generator:
     """An immutable generator: phi and its first two derivatives, plus metadata.
 
+    Each of `phi`, `phi_prime` and `phi_second` is one callable for floats
+    and arrays.  Called with a float, it returns a float and raises
+    EvaluationDomainError where the form is undefined.  Called with a 1-D
+    float array, it returns an array, bit for bit the float results, with
+    NaN where the float call raises.  A form picks its path with
+    ``isinstance(x, np.ndarray)``, so an np.float64 takes the float path.
     `kinks` lists interior points where phi' or phi'' is discontinuous;
     evaluation of density-like quantities is refused there and grid scans
     skip them.  `certified_valid` marks the shipped builtins, whose validity
     is an algebraic fact rather than a grid observation.  The exact
     unit-interval integrals of phi and |phi| are carried as Fractions when the
-    family is piecewise polynomial.  `phi_array`, `phi_prime_array` and
-    `phi_second_array` are optional array forms of phi, phi' and phi'', bit
-    for bit the scalar form at every point, with NaN where the scalar form
-    raises EvaluationDomainError; without one, `phi_values`,
-    `derivative_values` or `second_derivative_values` call the scalar form
-    point by point.  The builtins and expression generators carry all three.
+    family is piecewise polynomial.
     """
 
-    phi: Callable[[float], float]
-    phi_prime: Callable[[float], float]
-    phi_second: Callable[[float], float]
+    phi: Form
+    phi_prime: Form
+    phi_second: Form
     label: str
     n: int | None = None
     kinks: tuple[float, ...] = ()
@@ -101,208 +104,145 @@ class Generator:
     exact_integral: Fraction | None = None
     exact_abs_integral: Fraction | None = None
     source: str | None = None
-    phi_array: ArrayFn | None = None
-    phi_prime_array: ArrayFn | None = None
-    phi_second_array: ArrayFn | None = None
-
-    def derivative(self, x: float) -> float:
-        return self.phi_prime(x)
-
-    def second_derivative(self, x: float) -> float:
-        return self.phi_second(x)
-
-    def phi_values(self, xs: np.ndarray) -> np.ndarray:
-        """phi at every point of the 1-D array xs; NaN where it is undefined."""
-        if self.phi_array is not None:
-            return self.phi_array(xs)
-        return _map_points(self.phi, xs)
-
-    def derivative_values(self, xs: np.ndarray) -> np.ndarray:
-        """phi' at every point of the 1-D array xs; NaN where it is undefined."""
-        if self.phi_prime_array is not None:
-            return self.phi_prime_array(xs)
-        return _map_points(self.phi_prime, xs)
-
-    def second_derivative_values(self, xs: np.ndarray) -> np.ndarray:
-        """phi'' at every point of the 1-D array xs; NaN where it is undefined."""
-        if self.phi_second_array is not None:
-            return self.phi_second_array(xs)
-        return _map_points(self.phi_second, xs)
 
 
 def raise_at_nan(
-    fn: Callable[[float], float], xs: np.ndarray, values: np.ndarray
+    fn: Form, xs: np.ndarray, values: np.ndarray | None = None
 ) -> np.ndarray:
-    """values, once the scalar form fn has been called at each of its NaNs.
+    """values (fn(xs) when omitted), once fn has been called at each NaN.
 
-    The calls go in index order, so the first point where fn raises
+    The float calls go in index order, so the first point where fn raises
     EvaluationDomainError raises the error a point-by-point scan of xs meets
-    first.  A scalar form that returns NaN there leaves the NaN in place.
+    first.  A form that returns NaN there leaves the NaN in place.
     """
+    if values is None:
+        values = fn(xs)
     for i in np.flatnonzero(np.isnan(values)).tolist():
         fn(float(xs[i]))
     return values
 
 
-def _map_points(fn: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """A scalar function over an array, NaN where it raises a domain error."""
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs.tolist()):
-        try:
-            out[i] = fn(x)
-        except EvaluationDomainError:
-            out[i] = math.nan
-    return out
+def _form(on_float: Callable, on_array: Callable) -> Form:
+    def form(x):
+        if isinstance(x, np.ndarray):
+            return on_array(x)
+        return on_float(x)
+
+    return form
 
 
 # ---------------------------------------------------------------------------
 # Builtin catalog
 #
-# Each builtin carries array forms that equal its scalar lambdas bit for bit:
-# + - * /, sin and cos are numpy ufuncs, min and max copy Python's tie rule
-# (the first argument unless the second is strictly smaller or larger), and
-# every ** is Python's, point by point, because numpy's power does not round
-# like it.
-
-
-def _min(a, b):
-    return np.where(b < a, b, a)
-
-
-def _max(a, b):
-    return np.where(b > a, b, a)
+# Each builtin writes phi, phi' and phi'' once, over a kit of operations, and
+# reads them with two kits.  The float kit is math, Python's min and max and
+# **.  The array kit keeps every bit of it: + - * /, sin and cos are numpy
+# ufuncs, min and max copy Python's tie rule (the first argument unless the
+# second is strictly smaller or larger), and every ** is Python's, point by
+# point, because numpy's power does not round like it.  `on(mask, x, fn,
+# rest)` is fn(x) where mask holds and rest elsewhere; fn sees only the
+# points in the mask.
 
 
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
     return np.array([b**exponent for b in base.tolist()], dtype=float)
 
 
-def _constant(value: float) -> ArrayFn:
-    return lambda xs: np.full(np.shape(xs), value)
+def _on(mask: np.ndarray, xs: np.ndarray, fn: Callable, rest: np.ndarray) -> np.ndarray:
+    out = np.array(rest, dtype=float)
+    out[mask] = fn(xs[mask])
+    return out
 
 
-def _phi1() -> Generator:
-    quarter = Fraction(1, 4)
-    return Generator(
-        phi=lambda x: min(x, 1.0 - x),
+_FLOATS = SimpleNamespace(
+    sin=math.sin,
+    cos=math.cos,
+    min=min,
+    max=max,
+    pow=operator.pow,
+    where=lambda cond, a, b: a if cond else b,
+    full=lambda x, value: value,
+    on=lambda mask, x, fn, rest: fn(x) if mask else rest,
+)
+
+_ARRAYS = SimpleNamespace(
+    sin=np.sin,
+    cos=np.cos,
+    min=lambda a, b: np.where(b < a, b, a),
+    max=lambda a, b: np.where(b > a, b, a),
+    pow=_pow,
+    where=np.where,
+    full=lambda xs, value: np.full(np.shape(xs), value),
+    on=_on,
+)
+
+
+def _forms(build: Callable, *args) -> dict[str, Form]:
+    """phi, phi' and phi'' from build(*args, kit), read with both kits."""
+    pairs = zip(build(*args, _FLOATS), build(*args, _ARRAYS))
+    forms = (_form(on_float, on_array) for on_float, on_array in pairs)
+    return dict(zip(("phi", "phi_prime", "phi_second"), forms))
+
+
+def _phi1_forms(k) -> tuple[Callable, Callable, Callable]:
+    return (
+        lambda x: k.min(x, 1.0 - x),
         # left-derivative convention at the midpoint kink: slope +1 there
-        phi_prime=lambda x: 1.0 if x <= 0.5 else -1.0,
-        phi_second=lambda x: 0.0,
-        label="phi1",
-        kinks=(0.5,),
-        certified_valid=True,
-        exact_integral=quarter,
-        exact_abs_integral=quarter,
-        phi_array=lambda xs: _min(xs, 1.0 - xs),
-        phi_prime_array=lambda xs: np.where(xs <= 0.5, 1.0, -1.0),
-        phi_second_array=_constant(0.0),
+        lambda x: k.where(x <= 0.5, 1.0, -1.0),
+        lambda x: k.full(x, 0.0),
     )
 
 
-def _phi2() -> Generator:
-    sixth = Fraction(1, 6)
-    # these forms serve arrays as they are
-    phi = lambda x: x * (1.0 - x)
-    phi_prime = lambda x: 1.0 - 2.0 * x
-    return Generator(
-        phi=phi,
-        phi_prime=phi_prime,
-        phi_second=lambda x: -2.0,
-        label="phi2",
-        certified_valid=True,
-        exact_integral=sixth,
-        exact_abs_integral=sixth,
-        phi_array=phi,
-        phi_prime_array=phi_prime,
-        phi_second_array=_constant(-2.0),
+def _phi2_forms(k) -> tuple[Callable, Callable, Callable]:
+    return (
+        lambda x: x * (1.0 - x),
+        lambda x: 1.0 - 2.0 * x,
+        lambda x: k.full(x, -2.0),
     )
 
 
-def _phi3() -> Generator:
-    # these forms serve arrays as they are
-    phi = lambda x: x * (1.0 - x) * (1.0 - 2.0 * x)
-    phi_prime = lambda x: 1.0 - 6.0 * x + 6.0 * x * x
-    phi_second = lambda x: 12.0 * x - 6.0
-    return Generator(
-        phi=phi,
-        phi_prime=phi_prime,
-        phi_second=phi_second,
-        label="phi3",
-        certified_valid=True,
-        exact_integral=Fraction(0),
-        exact_abs_integral=Fraction(1, 16),
-        phi_array=phi,
-        phi_prime_array=phi_prime,
-        phi_second_array=phi_second,
+def _phi3_forms(k) -> tuple[Callable, Callable, Callable]:
+    return (
+        lambda x: x * (1.0 - x) * (1.0 - 2.0 * x),
+        lambda x: 1.0 - 6.0 * x + 6.0 * x * x,
+        lambda x: 12.0 * x - 6.0,
     )
 
 
-def _phi4() -> Generator:
-    pi = math.pi
-    return Generator(
-        phi=lambda x: math.sin(pi * x) / pi,
-        phi_prime=lambda x: math.cos(pi * x),
-        phi_second=lambda x: -pi * math.sin(pi * x),
-        label="phi4",
-        certified_valid=True,
-        phi_array=lambda xs: np.sin(pi * xs) / pi,
-        phi_prime_array=lambda xs: np.cos(pi * xs),
-        phi_second_array=lambda xs: -pi * np.sin(pi * xs),
+def _phi4_forms(k) -> tuple[Callable, Callable, Callable]:
+    pi, sin, cos = math.pi, k.sin, k.cos
+    return (
+        lambda x: sin(pi * x) / pi,
+        lambda x: cos(pi * x),
+        lambda x: -pi * sin(pi * x),
     )
 
 
-def _phi5(n: int) -> Generator:
-    # Antiderivative of clamp(-n(x - 1/2), -1, 1).  The cap spans
-    # (1/2 - 1/n, 1/2 + 1/n) intersected with [0, 1]; outside it the slope
-    # saturates at +-1 and phi coincides with min(x, 1-x).
-    a = max(0.0, 0.5 - 1.0 / n)
-    b = min(1.0, 0.5 + 1.0 / n)
+def _phi5_forms(n: int, a: float, b: float, k) -> tuple[Callable, Callable, Callable]:
+    """phi5 with its cap on (a, b): ramps of slope +-1 outside it."""
     half_n = 0.5 * n
     cap_base = a + half_n * (a - 0.5) ** 2  # value that makes the join continuous
 
-    def phi(x: float) -> float:
-        if x <= a:
-            return x
-        if x >= b:
-            return 1.0 - x
-        return cap_base - half_n * (x - 0.5) ** 2
+    def cap(x):
+        return cap_base - half_n * k.pow(x - 0.5, 2)
 
-    def phi_array(xs: np.ndarray) -> np.ndarray:
-        out = np.where(xs <= a, xs, 1.0 - xs)
-        cap = (xs > a) & (xs < b)
-        out[cap] = cap_base - half_n * _pow(xs[cap] - 0.5, 2)
-        return out
+    def phi(x):
+        # the cap's power runs on cap points only
+        return k.on((a < x) & (x < b), x, cap, k.where(x <= a, x, 1.0 - x))
 
-    def phi_prime(x: float) -> float:
-        return min(1.0, max(-1.0, n * (0.5 - x)))
+    def phi_prime(x):
+        return k.min(1.0, k.max(-1.0, n * (0.5 - x)))
 
-    def phi_second(x: float) -> float:
+    def phi_second(x):
         # second derivative jumps at the joins; left-sided value reported
-        if x <= a or x > b:
-            return 0.0
-        return -float(n)
+        return k.where((x <= a) | (x > b), 0.0, -float(n))
 
-    interior_kinks = tuple(p for p in (a, b) if 0.0 < p < 1.0)
-    exact = Fraction(1, 12) if n == 1 else Fraction(1, 4) - Fraction(1, 3 * n * n)
-    return Generator(
-        phi=phi,
-        phi_prime=phi_prime,
-        phi_second=phi_second,
-        label=f"phi5[n={n}]",
-        n=n,
-        kinks=interior_kinks,
-        certified_valid=True,
-        exact_integral=exact,
-        exact_abs_integral=exact,  # phi5 is nonnegative on [0, 1]
-        phi_array=phi_array,
-        phi_prime_array=lambda xs: _min(1.0, _max(-1.0, n * (0.5 - xs))),
-        phi_second_array=lambda xs: np.where((xs <= a) | (xs > b), 0.0, -float(n)),
-    )
+    return phi, phi_prime, phi_second
 
 
-def _phi6_forms(n: int, pw: Callable) -> tuple[Callable, Callable, Callable]:
-    """phi, phi' and phi'' of phi6, with every power taken by pw(base, exponent)."""
+def _phi6_forms(n: int, k) -> tuple[Callable, Callable, Callable]:
     inv_n = 1.0 / n
+    pw = k.pow
 
     def phi(x):
         s = pw(x, n) + pw(1.0 - x, n)
@@ -322,19 +262,64 @@ def _phi6_forms(n: int, pw: Callable) -> tuple[Callable, Callable, Callable]:
     return phi, phi_prime, phi_second
 
 
-def _phi6(n: int) -> Generator:
-    phi, phi_prime, phi_second = _phi6_forms(n, operator.pow)
-    phi_array, phi_prime_array, phi_second_array = _phi6_forms(n, _pow)
+def _phi1() -> Generator:
+    quarter = Fraction(1, 4)
     return Generator(
-        phi=phi,
-        phi_prime=phi_prime,
-        phi_second=phi_second,
-        label=f"phi6[n={n}]",
-        n=n,
+        **_forms(_phi1_forms),
+        label="phi1",
+        kinks=(0.5,),
         certified_valid=True,
-        phi_array=phi_array,
-        phi_prime_array=phi_prime_array,
-        phi_second_array=phi_second_array,
+        exact_integral=quarter,
+        exact_abs_integral=quarter,
+    )
+
+
+def _phi2() -> Generator:
+    sixth = Fraction(1, 6)
+    return Generator(
+        **_forms(_phi2_forms),
+        label="phi2",
+        certified_valid=True,
+        exact_integral=sixth,
+        exact_abs_integral=sixth,
+    )
+
+
+def _phi3() -> Generator:
+    return Generator(
+        **_forms(_phi3_forms),
+        label="phi3",
+        certified_valid=True,
+        exact_integral=Fraction(0),
+        exact_abs_integral=Fraction(1, 16),
+    )
+
+
+def _phi4() -> Generator:
+    return Generator(**_forms(_phi4_forms), label="phi4", certified_valid=True)
+
+
+def _phi5(n: int) -> Generator:
+    # Antiderivative of clamp(-n(x - 1/2), -1, 1).  The cap spans
+    # (1/2 - 1/n, 1/2 + 1/n) intersected with [0, 1]; outside it the slope
+    # saturates at +-1 and phi coincides with min(x, 1-x).
+    a = max(0.0, 0.5 - 1.0 / n)
+    b = min(1.0, 0.5 + 1.0 / n)
+    exact = Fraction(1, 12) if n == 1 else Fraction(1, 4) - Fraction(1, 3 * n * n)
+    return Generator(
+        **_forms(_phi5_forms, n, a, b),
+        label=f"phi5[n={n}]",
+        n=n,
+        kinks=tuple(p for p in (a, b) if 0.0 < p < 1.0),
+        certified_valid=True,
+        exact_integral=exact,
+        exact_abs_integral=exact,  # phi5 is nonnegative on [0, 1]
+    )
+
+
+def _phi6(n: int) -> Generator:
+    return Generator(
+        **_forms(_phi6_forms, n), label=f"phi6[n={n}]", n=n, certified_valid=True
     )
 
 
@@ -368,9 +353,9 @@ def from_expression(expr: Expression | str) -> Generator:
 
     The expression is probed at x in {0, 0.5, 1}; a domain error there is
     raised immediately (the function cannot be a generator if it is not even
-    defined on [0, 1]).  First and second derivatives are symbolic, and phi,
-    phi' and phi'' come with array forms that evaluate the tree over whole
-    grids.
+    defined on [0, 1]).  First and second derivatives are symbolic.  Each
+    form walks its tree for a float (`evaluate`, which names the failing
+    node) and evaluates it once per node for an array (`evaluate_array`).
     """
     if isinstance(expr, str):
         tree = parse(expr)
@@ -382,15 +367,15 @@ def from_expression(expr: Expression | str) -> Generator:
     d2 = differentiate(d1)
     for probe in (0.0, 0.5, 1.0):
         evaluate(tree, probe)  # propagate EvaluationDomainError
+    phi, phi_prime, phi_second = (
+        _form(partial(evaluate, t), partial(evaluate_array, t)) for t in (tree, d1, d2)
+    )
     return Generator(
-        phi=lambda x: evaluate(tree, x),
-        phi_prime=lambda x: evaluate(d1, x),
-        phi_second=lambda x: evaluate(d2, x),
+        phi=phi,
+        phi_prime=phi_prime,
+        phi_second=phi_second,
         label=f"expr:{source}",
         source=source,
-        phi_array=lambda xs: evaluate_array(tree, xs),
-        phi_prime_array=lambda xs: evaluate_array(d1, xs),
-        phi_second_array=lambda xs: evaluate_array(d2, xs),
     )
 
 
@@ -467,7 +452,7 @@ def _check_derivative_bound(
     gen: Generator, xs: np.ndarray, tol: float
 ) -> CheckResult:
     pts = xs[~np.isin(xs, gen.kinks)]
-    d = np.abs(gen.derivative_values(pts))
+    d = np.abs(gen.phi_prime(pts))
     violations = d > 1.0 + tol  # False where phi' is undefined (NaN)
     if violations.any():
         i = int(np.argmax(np.where(violations, d, -math.inf)))  # first largest
@@ -494,7 +479,7 @@ def _check_derivative_bound(
 
 
 def _check_envelope(gen: Generator, xs: np.ndarray, tol: float) -> CheckResult:
-    values = np.abs(gen.phi_values(xs))
+    values = np.abs(gen.phi(xs))
     undefined = np.isnan(values)
     if undefined.any():
         x = float(xs[np.argmax(undefined)])  # the first undefined point

@@ -29,21 +29,19 @@ the same quantities from samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .copula import Copula, SamplePairs
+from .copula import Copula, SamplePairs, check_theta
 from .numerics import QuadratureConfig, aligned_panels, gauss_axis, integrate_1d
 
 __all__ = [
     "AssociationMeasures",
     "closed_form_measures",
     "quadrature_measures",
-    "density_grid",
     "empirical_tau",
     "empirical_rho",
     "tau_phi5",
@@ -105,11 +103,6 @@ def closed_form_measures(cop: Copula, abs_tol: float = 1e-12) -> AssociationMeas
 
 # ---------------------------------------------------------------------------
 # Definitional quadrature route
-
-
-def density_grid(cop: Copula, xs: np.ndarray) -> np.ndarray:
-    """Density values on the tensor grid xs x xs, kink nodes nudged one ulp."""
-    return cop.density_grid(xs)
 
 
 def quadrature_measures(cop: Copula, resolution: int = 512) -> AssociationMeasures:
@@ -243,7 +236,6 @@ def tau_phi5(n: int, theta: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if math.isnan(theta) or not (-1.0 <= theta <= 1.0):
-        raise ValueError("theta must lie in [-1, 1]")
+    check_theta(theta)
     base = 0.25 - 1.0 / (3.0 * n * n)
     return 8.0 * theta * base * base

@@ -280,7 +280,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class RandomStream:
-    """SplitMix64 stream: 64-bit add-and-mix, 53-bit doubles, splittable."""
+    """SplitMix64 stream: 64-bit add-and-mix, 53-bit doubles."""
 
     __slots__ = ("_state",)
 
@@ -312,7 +312,3 @@ class RandomStream:
         z ^= z >> np.uint64(31)
         self._state = (self._state + count * _GAMMA) & _MASK64
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-    def split(self) -> "RandomStream":
-        """Child stream seeded from the next output; advances this stream."""
-        return RandomStream(self.next_u64())

@@ -34,9 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .copula import Copula
+from .copula import Copula, check_theta
 from .generator import Generator, raise_at_nan
-from .measures import density_grid
 from .numerics import aligned_panels, gauss_axis, legendre_rule, uniform_grid
 
 __all__ = [
@@ -130,9 +129,9 @@ class GridSample:
 
     Holds the nodes xs and the nodes off the declared kinks.  phi(xs),
     phi(1 - xs) and phi'' off the kinks are each one pass of the
-    generator's array forms, made on first use, and so are the sign scans
-    of phi and phi'' that pqd, si, tp2 and both orderings share.  NaN marks
-    a node where the scalar form raises EvaluationDomainError; every scan
+    generator's forms over an array, made on first use, and so are the sign
+    scans of phi and phi'' that pqd, si, tp2 and both orderings share.  NaN
+    marks a node where the float call raises EvaluationDomainError; every scan
     passes what it reads to ``raise_at_nan`` in the order the point-by-point
     scans read it, so the first error they met is the one raised, and a NaN
     no scan reads raises nothing.
@@ -151,11 +150,11 @@ class GridSample:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return self.gen.phi_values(self.xs)
+        return self.gen.phi(self.xs)
 
     @cached_property
     def mirrored(self) -> np.ndarray:
-        return self.gen.phi_values(1.0 - self.xs)
+        return self.gen.phi(1.0 - self.xs)
 
     @cached_property
     def phi_signs(self) -> tuple[float | None, float | None]:
@@ -166,8 +165,7 @@ class GridSample:
     @cached_property
     def curvature_signs(self) -> tuple[float | None, float | None]:
         """The same for phi'', kink abscissae excluded."""
-        values = self.gen.second_derivative_values(self.smooth_xs)
-        raise_at_nan(self.gen.phi_second, self.smooth_xs, values)
+        values = raise_at_nan(self.gen.phi_second, self.smooth_xs)
         return self._signs(self.smooth_xs, values)
 
     def _signs(self, xs: np.ndarray, values: np.ndarray) -> tuple[float | None, float | None]:
@@ -358,8 +356,7 @@ def dependence_profile(
     scan runs once for si, tp2 and si_ordered.
     """
     sample = GridSample(gen, grid, tol)
-    if math.isnan(theta) or not (-1.0 <= theta <= 1.0):
-        raise ValueError("theta must lie in [-1, 1]")
+    check_theta(theta)
     xs, meta = sample.xs, sample.meta
     verdicts: dict[str, Verdict] = {}
 
@@ -404,9 +401,9 @@ def dependence_profile(
         # u -> 1 limit phi'(1-); phi(0) = phi(1) = 0 makes these continuous.
         phi = sample.phi
         with np.errstate(over="ignore"):  # Python's float division overflows to inf too
-            ltd_vals = np.concatenate(([gen.derivative(0.0)], phi[1:] / xs[1:]))
+            ltd_vals = np.concatenate(([gen.phi_prime(0.0)], phi[1:] / xs[1:]))
             verdicts["ltd"] = _tail_verdict(sample, ltd_vals, "phi(u)/u", suffix)
-            rti_vals = np.concatenate((phi[:-1] / (xs[:-1] - 1.0), [gen.derivative(1.0)]))
+            rti_vals = np.concatenate((phi[:-1] / (xs[:-1] - 1.0), [gen.phi_prime(1.0)]))
             verdicts["rti"] = _tail_verdict(sample, rti_vals, "phi(u)/(u-1)", suffix)
 
         cpos, cneg = sample.curvature_signs
@@ -506,8 +503,7 @@ def oracle_tp2(cop: Copula, grid: int = 101) -> Verdict:
     gen = cop.gen
     xs = (np.arange(grid) + 0.5) / grid
     xs = np.where(np.isin(xs, gen.kinks), np.nextafter(xs, 1.0), xs)
-    d = gen.derivative_values(xs)
-    raise_at_nan(gen.derivative, xs, d)
+    d = raise_at_nan(gen.phi_prime, xs)
     theta = cop.theta
     # min and max of d[i] - d[j] over i < j, through prefix extremes
     lo = float((np.minimum.accumulate(d)[:-1] - d[1:]).min())
@@ -559,7 +555,7 @@ def oracle_pfd(
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
     xs, ws = gauss_axis(resolution, aligned_panels(resolution))
-    dgrid = density_grid(cop, xs)
+    dgrid = cop.density_grid(xs)
     gu = np.array([g(float(x)) for x in xs])
     weights = np.outer(ws, ws)
     joint = float(np.sum(weights * np.outer(gu, gu) * dgrid))
@@ -587,14 +583,14 @@ def pfd_closed_form(
     base_x, base_w = legendre_rule(nodes)
     panels = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(cuts, cuts[1:])]
     xs = np.concatenate([mid + half * base_x for mid, half in panels])
-    slopes = gen.derivative_values(xs).tolist()
+    slopes = gen.phi_prime(xs).tolist()
     halves = [half for _, half in panels for _ in range(nodes)]
     weights = base_w.tolist() * len(panels)
     # a plain running sum, in node order: np.sum would pair the terms
     total = 0.0
     for x, w, half, slope in zip(xs.tolist(), weights, halves, slopes):
         gx = g(x)
-        if math.isnan(slope):  # undefined: the scalar form raises its error
-            slope = gen.derivative(x)
+        if math.isnan(slope):  # undefined: the float call raises its error
+            slope = gen.phi_prime(x)
         total += w * half * gx * slope
     return cop.theta * (total * total)

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from copula_forge.copula import Copula, KinkPointError, SamplePairs, ThetaRangeError
-from copula_forge.exprlang import EvaluationDomainError, Var
+from copula_forge.exprlang import EvaluationDomainError
 from copula_forge.generator import GeneratorValidationError, builtin, from_expression
 from copula_forge.numerics import QuadratureConfig, RandomStream, integrate_2d
 
-from conftest import random_valid_expression_generators
+from conftest import random_valid_expression_generators, with_hole
 
 FGM = builtin("phi2")
 
@@ -368,25 +368,12 @@ def test_sample_nudges_a_u_drawn_on_a_kink():
     assert _hex_pairs(pairs) == _pair_by_pair(cop, 40, seed)
 
 
-def _raises_on_band(fn, lo: float, hi: float):
-    def guarded(x: float) -> float:
-        if lo < x < hi:
-            raise EvaluationDomainError("test band", Var(), x)
-        return fn(x)
-
-    return guarded
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field", ["phi", "phi_prime"])
 def test_sample_domain_error_matches_pair_by_pair(field):
     fgm = builtin("phi2")
-    # a new scalar form drops the builtin's array form, which knows no band
-    gen = dataclasses.replace(
-        fgm,
-        label="banded",
-        **{field: _raises_on_band(getattr(fgm, field), 0.3, 0.4), f"{field}_array": None},
-    )
+    band = with_hole(getattr(fgm, field), lambda x: (0.3 < x) & (x < 0.4))
+    gen = dataclasses.replace(fgm, label="banded", **{field: band})
     cop = Copula(gen, 0.5)
     with pytest.raises(EvaluationDomainError) as scalar:
         _pair_by_pair(cop, 60, 5)

@@ -5,11 +5,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from copula_forge.exprlang import EvaluationDomainError, Var
+from conftest import with_hole
+
+from copula_forge.copula import Copula
+from copula_forge.exprlang import EvaluationDomainError
 from copula_forge.generator import (
     BUILTIN_NAMES,
     Generator,
@@ -18,6 +22,7 @@ from copula_forge.generator import (
     validate,
 )
 from copula_forge.numerics import gauss_axis, legendre_rule, uniform_grid
+from copula_forge.properties import dependence_profile
 
 ALL_BUILTINS = [
     builtin("phi1"),
@@ -95,13 +100,9 @@ FLOAT_FORM_DIGESTS = {
 def test_builtin_array_forms_equal_scalar_forms_bit_for_bit(gen):
     xs = _array_form_points(gen)
     digest = hashlib.sha256()
-    for name, point_form, array_form in (
-        ("phi", gen.phi, gen.phi_values),
-        ("phi'", gen.phi_prime, gen.derivative_values),
-        ("phi''", gen.phi_second, gen.second_derivative_values),
-    ):
-        got = array_form(xs)
-        want = np.array([point_form(x) for x in xs.tolist()])
+    for name, form in (("phi", gen.phi), ("phi'", gen.phi_prime), ("phi''", gen.phi_second)):
+        got = form(xs)
+        want = np.array([form(x) for x in xs.tolist()])
         assert got.dtype == np.float64 and got.shape == xs.shape, name
         differ = got.view(np.uint64) != want.view(np.uint64)  # sign of zero too
         assert not differ.any(), (name, xs[differ][:5].tolist())
@@ -125,16 +126,16 @@ def test_phi1_values():
     assert g.phi(0.75) == 0.25
     assert g.phi(1.0) == 0.0
     assert g.kinks == (0.5,)
-    assert g.derivative(0.25) == 1.0
-    assert g.derivative(0.75) == -1.0
-    assert g.derivative(0.5) == 1.0  # left slope kept at the kink
+    assert g.phi_prime(0.25) == 1.0
+    assert g.phi_prime(0.75) == -1.0
+    assert g.phi_prime(0.5) == 1.0  # left slope kept at the kink
 
 
 def test_phi2_values():
     g = builtin("phi2")
     assert g.phi(0.5) == 0.25
-    assert g.derivative(0.0) == 1.0
-    assert g.derivative(1.0) == -1.0
+    assert g.phi_prime(0.0) == 1.0
+    assert g.phi_prime(1.0) == -1.0
     assert g.kinks == ()
 
 
@@ -143,14 +144,14 @@ def test_phi3_values():
     assert g.phi(0.5) == 0.0
     assert g.phi(0.25) == pytest.approx(3.0 / 32.0, abs=1e-16)
     assert g.phi(0.75) == pytest.approx(-3.0 / 32.0, abs=1e-16)
-    assert g.derivative(0.5) == pytest.approx(-0.5, abs=1e-15)
+    assert g.phi_prime(0.5) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_phi4_values():
     g = builtin("phi4")
     assert g.phi(0.5) == pytest.approx(1.0 / math.pi, rel=1e-15)
-    assert g.derivative(0.0) == 1.0
-    assert g.second_derivative(0.5) == pytest.approx(-math.pi, rel=1e-15)
+    assert g.phi_prime(0.0) == 1.0
+    assert g.phi_second(0.5) == pytest.approx(-math.pi, rel=1e-15)
 
 
 def test_phi5_order_one_is_half_parabola():
@@ -182,8 +183,8 @@ def test_phi5_c1_joins():
         g = builtin("phi5", n)
         for kink in g.kinks:
             eps = 1e-9
-            left = g.derivative(kink - eps)
-            right = g.derivative(kink + eps)
+            left = g.phi_prime(kink - eps)
+            right = g.phi_prime(kink + eps)
             assert abs(left - right) <= 1e-7 * n
             # value continuity at the join
             assert abs(g.phi(kink - eps) - g.phi(kink + eps)) <= 1e-8
@@ -248,8 +249,8 @@ def test_from_expression_matches_phi2():
 
 def test_from_expression_symbolic_derivatives():
     g = from_expression("x*(1-x)")
-    assert g.derivative(0.25) == pytest.approx(0.5, abs=1e-15)
-    assert g.second_derivative(0.25) == pytest.approx(-2.0, abs=1e-13)
+    assert g.phi_prime(0.25) == pytest.approx(0.5, abs=1e-15)
+    assert g.phi_second(0.25) == pytest.approx(-2.0, abs=1e-13)
 
 
 def test_from_expression_probe_domain_error():
@@ -352,22 +353,7 @@ def test_symbolic_derivative_matches_finite_differences():
             if any(abs(x - kk) < 1e-3 for kk in gen.kinks):
                 continue
             fd = (gen.phi(x + h) - gen.phi(x - h)) / (2.0 * h)
-            assert gen.derivative(x) == pytest.approx(fd, abs=1e-5), (gen.label, x)
-
-
-def test_validate_maps_scalar_forms_without_array_forms():
-    # the same generator with and without array forms: NaN at the node 0.25
-    # comes from EvaluationDomainError on the point-by-point path
-    gen = from_expression("x*(1-x)*0.1/(x-0.25)*(x-0.25)")
-    bare = dataclasses.replace(gen, phi_array=None, phi_prime_array=None)
-    xs = np.linspace(0.0, 1.0, 4097)
-    for array_form, point_form in (
-        (gen.phi_values(xs), bare.phi_values(xs)),
-        (gen.derivative_values(xs), bare.derivative_values(xs)),
-    ):
-        assert np.array_equal(array_form, point_form, equal_nan=True)
-    assert np.isnan(bare.phi_values(xs))[1024]
-    assert validate(bare).to_dict() == validate(gen).to_dict()
+            assert gen.phi_prime(x) == pytest.approx(fd, abs=1e-5), (gen.label, x)
 
 
 def test_envelope_names_the_first_undefined_node():
@@ -382,17 +368,74 @@ def test_envelope_names_the_first_undefined_node():
 
 def test_derivative_bound_skips_kink_nodes_before_evaluating():
     # phi' is steep and undefined exactly on the declared kinks, nowhere else
-    def slope(x: float) -> float:
-        if x == 0.25:
-            raise EvaluationDomainError("undefined", Var(), x)
-        return 5.0 if x == 0.75 else 0.0
-
+    zero = lambda x: 0.0 * x
+    slope = with_hole(lambda x: 5.0 * (x == 0.75), lambda x: x == 0.25)
     gen = Generator(
-        phi=lambda x: 0.0,
-        phi_prime=slope,
-        phi_second=lambda x: 0.0,
-        label="kinked",
-        kinks=(0.25, 0.75),
+        phi=zero, phi_prime=slope, phi_second=zero, label="kinked", kinks=(0.25, 0.75)
     )
     assert validate(gen, grid_points=5).overall_pass
     assert not validate(dataclasses.replace(gen, kinks=()), grid_points=5).overall_pass
+
+
+# ---------------------------------------------------------------------------
+# One form per field: a replaced form serves every read
+
+
+def _counted(gen: Generator, counts: Counter) -> Generator:
+    """gen with each form wrapped, through dataclasses.replace, to count its points."""
+
+    def counting(name, form):
+        def points(x):
+            counts[name] += np.size(x)
+            return form(x)
+
+        return points
+
+    fields = ("phi", "phi_prime", "phi_second")
+    return dataclasses.replace(gen, **{f: counting(f, getattr(gen, f)) for f in fields})
+
+
+def _off_kinks(gen: Generator, grid: int) -> int:
+    return int((~np.isin(uniform_grid(grid), gen.kinks)).sum())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "gen",
+    [builtin("phi5", 4), from_expression("0.4*x*(1-x)*(1+sin(pi*x))")],
+    ids=lambda g: g.label,
+)
+def test_replaced_forms_read_every_point(gen):
+    counts = Counter()
+    wrapped = _counted(gen, counts)
+    assert validate(wrapped).to_dict() == validate(gen).to_dict()
+    assert counts == {"phi": 2 + 4097, "phi_prime": _off_kinks(gen, 4097)}
+
+    cop = Copula(wrapped, 0.5)
+    counts.clear()
+    assert cop.sample(50, seed=3) == Copula(gen, 0.5).sample(50, seed=3)
+    # phi' once per u; phi at both ends, then once per pair and halving
+    assert counts["phi_prime"] == 50 and counts["phi"] > 2 + 50 * 30
+
+    counts.clear()
+    profile = dependence_profile(wrapped, 0.5)
+    assert profile.to_dict() == dependence_profile(gen, 0.5).to_dict()
+    assert counts["phi"] >= 2 * 1001
+    assert counts["phi_second"] == _off_kinks(gen, 1001)
+
+
+@pytest.mark.filterwarnings("error")
+def test_banded_phi2_raises_on_the_float_and_the_array_path():
+    fgm = builtin("phi2")
+    banded = dataclasses.replace(
+        fgm, phi_prime=with_hole(fgm.phi_prime, lambda x: (0.3 < x) & (x < 0.4))
+    )
+    cop = Copula(banded, 0.5)
+    with pytest.raises(EvaluationDomainError) as point:
+        cop.density(0.35, 0.5)
+    with pytest.raises(EvaluationDomainError) as grid:
+        cop.density_grid([0.1, 0.35, 0.37])
+    assert point.value.x == grid.value.x == 0.35
+    # validate reads the band too: phi' is undefined at 409 of its nodes
+    assert validate(banded).checks[1].verdict == "inconclusive"
+

@@ -876,6 +876,9 @@ CLOSED_MEASURES_DIGESTS: dict[str, str] = {
     "phi6n5@1": "11df61af907c0b1ec2899364b18c4c1f3f83300dc60f3cc7f9c1ae97aa893204",
 }
 
+# SHA-256 of the 100 seeded template sources joined by "\n"
+SEEDED_SOURCES_DIGEST = "7f7caf8d592b444c4796eff2b13e5f82cc8de237a3d10a0d646778c276e02d6a"
+
 # one digest per theta over the rootless seeded templates
 ROOTLESS_TEMPLATES = 62
 SEEDED_CLOSED_MEASURES_DIGESTS: dict[str, str] = {
@@ -1002,3 +1005,8 @@ def test_table1_and_converge_json_digests():
 def test_theta_errors_keep_exit_code_and_stderr():
     for argv, stderr in THETA_ERRORS:
         assert _transcript(argv) == (2, "", stderr), argv
+
+
+def test_seeded_templates_are_pinned():
+    joined = "\n".join(seeded_expressions())
+    assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == SEEDED_SOURCES_DIGEST

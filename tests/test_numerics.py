@@ -215,24 +215,6 @@ def test_adjacent_seeds_uncorrelated():
     assert abs(corr) < 0.05
 
 
-def test_split_gives_independent_child():
-    parent = RandomStream(99)
-    child = parent.split()
-    n = 100_000
-    xs = np.array([parent.next_float() for _ in range(n)])
-    ys = np.array([child.next_float() for _ in range(n)])
-    corr = np.corrcoef(xs, ys)[0, 1]
-    assert abs(corr) < 0.05
-
-
-def test_split_advances_parent():
-    a = RandomStream(5)
-    b = RandomStream(5)
-    a.split()
-    b.next_u64()
-    assert a.next_u64() == b.next_u64()
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", [0, 42, 2**63, 2**64 - 1])
 @pytest.mark.parametrize("count", [0, 1, 7, 1000])

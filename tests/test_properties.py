@@ -6,9 +6,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import with_hole
 
 from copula_forge.copula import Copula
-from copula_forge.exprlang import EvaluationDomainError, Var
+from copula_forge.exprlang import EvaluationDomainError
 from copula_forge.generator import Generator, builtin, from_expression
 from copula_forge.numerics import uniform_grid
 from copula_forge.properties import (
@@ -55,12 +56,8 @@ def test_joint_failure_witness_is_smallest_and_checkable():
 
 
 def test_zero_generator_is_fully_symmetric():
-    zero = Generator(
-        phi=lambda x: 0.0,
-        phi_prime=lambda x: 0.0,
-        phi_second=lambda x: 0.0,
-        label="zero",
-    )
+    zero_form = lambda x: 0.0 * x
+    zero = Generator(phi=zero_form, phi_prime=zero_form, phi_second=zero_form, label="zero")
     radial, joint = symmetry_check(zero)
     assert radial.status == "holds"
     assert joint.status == "holds"
@@ -121,18 +118,18 @@ def test_phi3_witnesses_are_recheckable():
 
     rise, drop = rep.verdicts["ltd"].witness
     # phi(u)/u must be monotone; the witness shows one rise and one drop
-    ratio = lambda x: gen.derivative(0.0) if x == 0.0 else gen.phi(x) / x
+    ratio = lambda x: gen.phi_prime(0.0) if x == 0.0 else gen.phi(x) / x
     assert ratio(rise[1]) > ratio(rise[0]) + 1e-9
     assert ratio(drop[1]) < ratio(drop[0]) - 1e-9
 
     rise, drop = rep.verdicts["rti"].witness
-    ratio = lambda x: gen.derivative(1.0) if x == 1.0 else gen.phi(x) / (x - 1.0)
+    ratio = lambda x: gen.phi_prime(1.0) if x == 1.0 else gen.phi(x) / (x - 1.0)
     assert ratio(rise[1]) > ratio(rise[0]) + 1e-9
     assert ratio(drop[1]) < ratio(drop[0]) - 1e-9
 
     cpos, cneg = rep.verdicts["si"].witness
-    assert gen.second_derivative(cpos) > 0.0
-    assert gen.second_derivative(cneg) < 0.0
+    assert gen.phi_second(cpos) > 0.0
+    assert gen.phi_second(cneg) < 0.0
 
 
 def test_independence_reports_everything_holds():
@@ -340,40 +337,20 @@ def test_oracle_resolution_rules():
 # One grid sample: array scans with the reads of the point-by-point scans
 
 
-def _raising(fn, undefined):
-    """fn, raising EvaluationDomainError wherever undefined(x) holds."""
-
-    def form(x: float) -> float:
-        if undefined(x):
-            raise EvaluationDomainError("test hole", Var(), x)
-        return fn(x)
-
-    return form
-
-
-def _holed_phi2(with_arrays: bool) -> Generator:
-    """phi2 with phi' undefined at 1 and phi'' undefined on (0.2, 0.3)."""
-    fgm = builtin("phi2")
-    gen = Generator(
-        phi=fgm.phi,
-        phi_prime=_raising(fgm.phi_prime, lambda x: x == 1.0),
-        phi_second=_raising(fgm.phi_second, lambda x: 0.2 < x < 0.3),
-        label="holed",
-    )
-    if not with_arrays:
-        return gen
-    return dataclasses.replace(
-        gen,
-        phi_array=fgm.phi_array,
-        phi_prime_array=lambda xs: np.where(xs == 1.0, np.nan, fgm.phi_prime_array(xs)),
-        phi_second_array=lambda xs: np.where((xs > 0.2) & (xs < 0.3), np.nan, -2.0),
-    )
+def _curvature_hole(x):
+    return (0.2 < x) & (x < 0.3)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("with_arrays", [True, False], ids=["arrays", "points"])
-def test_profile_raises_the_first_error_in_read_order(with_arrays):
-    gen = _holed_phi2(with_arrays)
+def test_profile_raises_the_first_error_in_read_order():
+    # phi2 with phi' undefined at 1 and phi'' undefined on (0.2, 0.3)
+    fgm = builtin("phi2")
+    gen = Generator(
+        phi=fgm.phi,
+        phi_prime=with_hole(fgm.phi_prime, lambda x: x == 1.0),
+        phi_second=with_hole(fgm.phi_second, _curvature_hole),
+        label="holed",
+    )
     # theta != 0: the rti scan reads phi'(1) before the curvature scan runs
     with pytest.raises(EvaluationDomainError) as err:
         dependence_profile(gen, 0.5)
@@ -392,8 +369,7 @@ def test_profile_raises_where_only_phi_second_is_undefined():
     gen = dataclasses.replace(
         fgm,
         label="curvature-hole",
-        phi_second=_raising(fgm.phi_second, lambda x: 0.2 < x < 0.3),
-        phi_second_array=lambda xs: np.where((xs > 0.2) & (xs < 0.3), np.nan, -2.0),
+        phi_second=with_hole(fgm.phi_second, _curvature_hole),
     )
     for theta in (-1.0, 0.0, 0.5):
         with pytest.raises(EvaluationDomainError) as err:
@@ -423,7 +399,7 @@ def test_symmetry_scan_raises_at_a_hole_where_it_would_stop():
     xs = uniform_grid(1001)
     on_grid = set(xs.tolist())
     k = next(k for k in range(2, 1000) if 1.0 - xs[k] not in on_grid)
-    phi = from_expression(base).phi_values
+    phi = from_expression(base).phi
     even = np.abs(phi(xs) - phi(1.0 - xs))
     tol = float(even[k - 1])  # the even identity first breaks at node k
     assert even[k] > tol and (even[:k] <= tol).all()
@@ -438,7 +414,7 @@ def test_symmetry_scan_raises_at_a_hole_where_it_would_stop():
 def test_tail_monotonicity_counts_only_steps_beyond_tol():
     gen = builtin("phi2")
     xs = uniform_grid(1001)
-    ratio = np.concatenate(([gen.derivative(0.0)], gen.phi_values(xs)[1:] / xs[1:]))
+    ratio = np.concatenate(([gen.phi_prime(0.0)], gen.phi(xs)[1:] / xs[1:]))
     steepest = float(-np.diff(ratio).min())  # phi(u)/u = 1 - u falls at every step
     at = dependence_profile(gen, 0.5, tol=steepest).verdicts["ltd"]
     below = dependence_profile(gen, 0.5, tol=float(np.nextafter(steepest, 0.0)))
@@ -468,7 +444,7 @@ def test_oracle_tp2_witness_is_the_first_in_row_major_order(name, n, theta):
     cop = Copula(builtin(name, n), theta)
     xs = [(k + 0.5) / 101 for k in range(101)]
     xs = [np.nextafter(x, 1.0) if x in cop.gen.kinks else x for x in xs]
-    d = [cop.gen.derivative(float(x)) for x in xs]
+    d = [cop.gen.phi_prime(float(x)) for x in xs]
     verdict = oracle_tp2(cop)
     assert verdict.status == "fails"
     assert verdict.witness == _first_tp2_witness(d, xs, theta)
