@@ -122,9 +122,9 @@ def raise_at_nan(
     return values
 
 
-def _form(on_float: Callable, on_array: Callable) -> Form:
+def _form(on_float: Callable, on_array: Callable, ndarray=np.ndarray) -> Form:
     def form(x):
-        if isinstance(x, np.ndarray):
+        if isinstance(x, ndarray):
             return on_array(x)
         return on_float(x)
 
