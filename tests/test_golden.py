@@ -10,7 +10,9 @@ sample still solved one pair at a time with scalar bisection; the seeded,
 edge and grid check digests and the domain probes while the property
 profile still scanned phi one scalar call per grid point; the closed-form
 measures, table1 and converge digests while every builtin still wrote its
-float and array forms of phi, phi' and phi'' separately.  A digest that
+float and array forms of phi, phi' and phi'' separately; the table-output,
+error and ``sample --out`` digests while each command still wrote its own
+output by hand.  A digest that
 moves means the code is wrong: ``sample`` promises the same bytes for
 the same (generator, theta, n, seed), and every other output is promised
 bit-identical to the per-cell and per-point evaluation.  Never update a
@@ -409,6 +411,87 @@ THETA_ERRORS = (
         "error: theta must lie in [-1, 1], got -1.01\n",
     ),
 )
+
+
+# generators of the table-output digests: the builtin family orders of
+# _BUILTINS, a smooth expression and a kinked one
+_TABLE_GENERATORS = tuple(_gen_args(name, order, "--n") for _, name, order in _BUILTINS) + (
+    ["--phi-expr", SIN_TEMPLATE],
+    ["--phi-expr", "0.9*min(x,1-x)"],
+)
+TABLE_THETAS = ("-0.5", "0", "0.7")
+
+
+def table_output_cases() -> dict[str, list[list[str]]]:
+    """The default table output of every command, one digest per variant."""
+    gens = _TABLE_GENERATORS
+    cases = {"validate": [["validate", *gen] for gen in gens]}
+    for key, extra in (("check", []), ("check --oracle", ["--oracle"])):
+        cases[key] = [
+            ["check", *gen, "--theta", theta, *extra]
+            for gen in gens
+            for theta in TABLE_THETAS
+        ]
+    for method in ("closed", "quad", "both"):
+        cases[f"measures {method}"] = [
+            ["measures", *gen, "--theta", theta, "--method", method]
+            for gen in gens
+            for theta in TABLE_THETAS
+        ]
+    for command in ("table1", "converge"):
+        cases[command] = [[command, "--theta", theta] for theta in ("-0.5", "0.7")]
+    return cases
+
+
+_BAD_SYNTAX = ["--phi-expr", "x*(1-"]
+_INVALID = ["--phi-expr", "1.5*x*(1-x)"]
+# (kind, argv without --format): refusals of every kind, and validate's
+# failing report, which exits 1 on stdout
+_ERROR_RUNS = (
+    ("syntax", ["validate", *_BAD_SYNTAX]),
+    ("syntax", ["measures", *_BAD_SYNTAX, "--theta", "0.5"]),
+    ("syntax", ["check", *_BAD_SYNTAX, "--theta", "0.5", "--oracle"]),
+    ("syntax", ["sample", *_BAD_SYNTAX, "--theta", "0.5", "--n", "3"]),
+    ("unknown-identifier", ["validate", "--phi-expr", "x*(1-y)"]),
+    ("validation", ["validate", *_INVALID]),
+    ("validation", ["measures", *_INVALID, "--theta", "0.5", "--method", "both"]),
+    ("validation", ["check", *_INVALID, "--theta", "-0.5"]),
+    ("validation", ["sample", *_INVALID, "--theta", "0.5", "--n", "3"]),
+    ("theta", ["table1", "--theta", "1.5"]),
+    ("theta", ["converge", "--theta", "nan", "--n-max", "2"]),
+    ("theta", ["measures", "--phi", "phi2", "--theta", "-1.01"]),
+    ("theta", ["check", "--phi", "phi2", "--theta", "2", "--oracle"]),
+    ("theta", ["sample", "--phi", "phi2", "--theta", "1.5", "--n", "3"]),
+    ("argument", ["validate", "--phi", "phi5"]),
+    ("argument", ["validate", "--phi", "phi1", "--grid", "2"]),
+    ("argument", ["check", "--phi", "phi1", "--theta", "0.5", "--tol", "nan"]),
+    ("argument", ["measures", "--phi", "phi1", "--theta", "0.5", "--resolution", "8"]),
+    ("argument", ["sample", "--phi", "phi1", "--theta", "0.5", "--n", "0"]),
+    ("argument", ["sample", "--phi", "phi1", "--theta", "0.5", "--n", "3", "--seed", "-1"]),
+    ("argument", ["converge", "--theta", "0.5", "--n-max", "0"]),
+    ("domain", ["check", "--phi-expr", DOMAIN_PROBES[0][0], "--theta", "0.5"]),
+    ("domain", ["validate", "--phi-expr", "x*(1-x)*0.1/(x-0.5)"]),
+)
+
+
+def error_cases() -> dict[str, list[list[str]]]:
+    """Every refusal kind, in the default format and in JSON."""
+    cases: dict[str, list[list[str]]] = {}
+    for kind, argv in _ERROR_RUNS:
+        cases.setdefault(f"{kind}:default", []).append(argv)
+        cases.setdefault(f"{kind}:json", []).append(argv + ["--format", "json"])
+    return cases
+
+
+def sample_out_digest(directory, fmt: str) -> str:
+    """Exit code, stdout, stderr and file bytes of one ``sample --out`` run."""
+    path = directory / f"sample.{fmt}"
+    code, out, err = _transcript([
+        "sample", "--phi", "phi4", "--theta", "-0.7", "--n", "40", "--seed", "9",
+        "--format", fmt, "--out", str(path),
+    ])
+    blob = f"{code}\n{out}\n{err}\n".encode("utf-8") + path.read_bytes()
+    return hashlib.sha256(blob).hexdigest()
 
 
 SAMPLE_DIGESTS: dict[str, str] = {
@@ -897,6 +980,37 @@ TABLE_DIGESTS: dict[str, str] = {
 }
 
 
+TABLE_OUTPUT_DIGESTS: dict[str, str] = {
+    "validate": "098c911dadbe8128ab7666b68a161ffd2d7aad73397a99a3fcd555901f2c4508",
+    "check": "bfd4e4353c59902ab96acff73c5c3d2a70274efba14d90d5ce9646baca3ebebd",
+    "check --oracle": "a0ac9d3ede09242d0ccb40127c87e0625abc4e8e3bb3b04c027f3ebd29f99423",
+    "measures closed": "9ffb115ce3fa268e15e3c8657a15c1cf15b4a44774b49f8b2d96f97d7cf30f38",
+    "measures quad": "a51342bf9def473d7178542ef65736916e53a713a8cb6d729a711aa04098d3ff",
+    "measures both": "dcd12c9748d763d4ee98ea12f5a7f175e72a66083ee3917197235cec1f0e1aaa",
+    "table1": "b708610e390036abee9f79e8b4a9ad2bfe4ebe7038df768f2c61ab361211ef4a",
+    "converge": "c97f48bc2fee013b5e477ede602270c4e8368af52bbb68991479c8933479fd61",
+}
+
+ERROR_DIGESTS: dict[str, str] = {
+    "syntax:default": "4da9a18d02a4614c86a14bb2c25876d30a6f1aff0f8a15bf3ffaaa14509341e4",
+    "syntax:json": "dfbdb3b851245de787be38422e36695d150315615fff1594aff95957398dd4de",
+    "unknown-identifier:default": "a84243d97b69982034270101707fc3b067303107212187c34f3b58973f620655",
+    "unknown-identifier:json": "b41fa3b4858308bd8cad84b9c17b4292efc827fdb695f5e7162fc9040863e248",
+    "validation:default": "522a09c75fb4169c5b660b86b72995983c1726b791c7649078b0a4127b2ba773",
+    "validation:json": "38c6bf37ff61b9d851aa2ae47c8fa763e2958c99d369a5ae515a8d8b47500505",
+    "theta:default": "ca8983600a1c1ebb0dd73465456d2d261efac14e2ba1e34b9a35c5605e6ac298",
+    "theta:json": "658fa6d4fc20db958c85f2ec6fc09e71d0da7e8fb46132f5246974f4c96f5326",
+    "argument:default": "878bd8645dba47bedbb1d940658c6501904949710f42949a595bc1bade302b33",
+    "argument:json": "3b5c6e64724929af2ab56625878df6d05eb3340b0cf5bd890c323711180ed94d",
+    "domain:default": "d124bf627661a966265456c40da742703d3958f8ac7a28d3e5e209eacb85b536",
+    "domain:json": "4267476c26cd5abd1d0fac85c6583f623f32a48975bcc8e6b6b9b02bd0dd77bc",
+}
+
+SAMPLE_OUT_DIGESTS: dict[str, str] = {
+    "csv": "904f6c7eb55c9505091ff42dd278afaedf05310471735a943701a44bca1fd5f4",
+    "json": "7a5ea23eadf32c49b2dbf12cc9a41f52324933bdd627677b480c7b6194babf24",
+}
+
 def test_sample_csv_digests():
     assert _mismatches(sample_cases(), SAMPLE_DIGESTS) == []
 
@@ -1010,3 +1124,22 @@ def test_theta_errors_keep_exit_code_and_stderr():
 def test_seeded_templates_are_pinned():
     joined = "\n".join(seeded_expressions())
     assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == SEEDED_SOURCES_DIGEST
+
+
+def test_table_output_digests():
+    cases = table_output_cases()
+    assert set(cases) == set(TABLE_OUTPUT_DIGESTS)
+    got = {key: _transcript_digest(runs) for key, runs in cases.items()}
+    assert [k for k in cases if got[k] != TABLE_OUTPUT_DIGESTS[k]] == []
+
+
+def test_error_digests():
+    cases = error_cases()
+    assert set(cases) == set(ERROR_DIGESTS)
+    got = {key: _transcript_digest(runs) for key, runs in cases.items()}
+    assert [k for k in cases if got[k] != ERROR_DIGESTS[k]] == []
+
+
+def test_sample_out_digests(tmp_path):
+    got = {fmt: sample_out_digest(tmp_path, fmt) for fmt in SAMPLE_OUT_DIGESTS}
+    assert got == SAMPLE_OUT_DIGESTS
