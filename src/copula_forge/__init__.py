@@ -42,7 +42,6 @@ from .measures import (
 from .numerics import (
     BracketError,
     ConvergenceError,
-    QuadratureConfig,
     QuadratureError,
     RandomStream,
     bisect,
@@ -107,7 +106,6 @@ __all__ = [
     "differentiate",
     "to_source",
     # numerics
-    "QuadratureConfig",
     "QuadratureError",
     "BracketError",
     "ConvergenceError",

@@ -6,10 +6,16 @@ families against their reference constants), ``sample`` (reproducible
 draws as CSV or JSON), ``check`` (property classification, optionally with
 definition-level oracles), and ``converge`` (the phi5/phi6 tau sequences).
 
+Each command returns its exit code and a JSON-able payload, and one
+renderer per command turns that payload alone into its table or CSV text.
+``main`` writes the output in one place: the JSON document or the rendered
+text, to stdout or to ``--out``.
+
 Exit codes: 0 on success, 1 when a generator fails validation (or cannot
-be evaluated on [0,1]), 2 on argument errors.  With ``--format json``
-errors are emitted as a JSON object on stderr.  Human tables print floats
-with 6 decimals; CSV and JSON carry full precision.
+be evaluated on [0,1]), 2 on argument errors, an ``--out`` path that cannot
+be written included.  With ``--format json`` errors are emitted as a JSON
+object on stderr.  Human tables print floats with 6 decimals; CSV and JSON
+carry full precision.
 
 The generator parameter for phi5/phi6 is ``--n`` everywhere except
 ``sample``, where ``--n`` is the draw count and the generator parameter is
@@ -40,13 +46,13 @@ from .generator import (
     validate,
 )
 from .measures import (
-    AssociationMeasures,
     closed_form_measures,
     quadrature_measures,
     tau_phi5,
 )
 from .properties import (
-    PROPERTY_KEYS,
+    PQD_GRID,
+    TP2_GRID,
     dependence_profile,
     oracle_pfd,
     oracle_pqd,
@@ -233,37 +239,25 @@ def _check_tol(tol: float) -> None:
         raise _CliError(2, "argument", f"--tol must be positive and below {MAX_TOL:g}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _emit_json(payload: dict, out_path: str | None = None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _emit_error(fmt: str, err: _CliError) -> None:
     if fmt == "json":
         payload = {"error": {"kind": err.kind, "message": str(err), **err.extra}}
-        sys.stderr.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stderr.write(_json_text(payload))
     else:
         sys.stderr.write(f"error: {err}\n")
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    lines = (headers, *rows)
+    widths = [max(len(line[i]) for line in lines) for i in range(len(headers))]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+        for line in lines
+    )
 
 
 def _f6(x: float) -> str:
@@ -281,167 +275,128 @@ def _fmt_witness(w) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (exit code, payload), and its renderer turns that
+# payload alone into the table or CSV text
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
     _check_positive("--grid", args.grid, 3)
     _check_tol(args.tol)
-    gen = _make_generator(args)
-    report = validate(gen, grid_points=args.grid, tol=args.tol)
-    if args.format == "json":
-        _emit_json(report.to_dict())
-    else:
-        rows = [
-            (c.name, c.verdict, _fmt_witness(c.witness), c.note)
-            for c in report.checks
-        ]
-        out = [
-            f"generator: {report.label}",
-            f"grid_points: {report.grid_points}  tol: {report.tol:g}  "
-            f"certified: {'yes' if report.certified else 'no'}",
-            _render_table(("check", "verdict", "witness", "note"), rows).rstrip("\n"),
-            f"overall: {'pass' if report.overall_pass else 'fail'}",
-        ]
-        sys.stdout.write("\n".join(out) + "\n")
-    return 0 if report.overall_pass else 1
+    report = validate(_make_generator(args), grid_points=args.grid, tol=args.tol)
+    return (0 if report.overall_pass else 1), report.to_dict()
 
 
-def _measures_payload(m: AssociationMeasures) -> dict:
-    return {"sigma": m.sigma, "tau": m.tau, "rho": m.rho}
+def _render_validate(p: dict) -> str:
+    rows = [
+        (c["name"], c["verdict"], _fmt_witness(c["witness"]), c["note"])
+        for c in p["checks"]
+    ]
+    return (
+        f"generator: {p['generator']}\n"
+        f"grid_points: {p['grid_points']}  tol: {p['tol']:g}  "
+        f"certified: {'yes' if p['certified'] else 'no'}\n"
+        + _render_table(("check", "verdict", "witness", "note"), rows)
+        + f"overall: {p['overall']}\n"
+    )
 
 
-def _cmd_measures(args: argparse.Namespace) -> int:
+_MEASURES = ("sigma", "tau", "rho")
+
+
+def _cmd_measures(args: argparse.Namespace) -> tuple[int, dict]:
     _check_positive("--resolution", args.resolution, 16)
     gen = _make_generator(args)
     cop = Copula(gen, _theta_arg(args.theta))
-    closed = quad = None
-    if args.method in ("closed", "both"):
-        closed = closed_form_measures(cop)
-    if args.method in ("quad", "both"):
-        quad = quadrature_measures(cop, resolution=args.resolution)
     payload: dict = {"generator": gen.label, "theta": args.theta, "method": args.method}
-    if closed is not None:
-        payload["closed_form"] = _measures_payload(closed)
-    if quad is not None:
-        payload["quadrature"] = _measures_payload(quad)
+    if args.method != "quad":
+        closed = closed_form_measures(cop)
+        payload["closed_form"] = {k: getattr(closed, k) for k in _MEASURES}
+    if args.method != "closed":
+        quad = quadrature_measures(cop, resolution=args.resolution)
+        payload["quadrature"] = {k: getattr(quad, k) for k in _MEASURES}
         payload["resolution"] = args.resolution
-    if closed is not None and quad is not None:
+    if args.method == "both":
         payload["difference"] = {
-            "sigma": abs(closed.sigma - quad.sigma),
-            "tau": abs(closed.tau - quad.tau),
-            "rho": abs(closed.rho - quad.rho),
+            k: abs(payload["closed_form"][k] - payload["quadrature"][k])
+            for k in _MEASURES
         }
-    if args.format == "json":
-        _emit_json(payload)
-        return 0
-    header = f"generator: {gen.label}  theta: {_f6(args.theta)}"
-    names = ("sigma", "tau", "rho")
-    if closed is not None and quad is not None:
-        rows = [
-            (
-                name,
-                _f6(getattr(closed, name)),
-                _f6(getattr(quad, name)),
-                f"{abs(getattr(closed, name) - getattr(quad, name)):.3e}",
-            )
-            for name in names
-        ]
-        table = _render_table(
-            ("measure", "closed_form", "quadrature", "|difference|"), rows
-        )
-    else:
-        only = closed if closed is not None else quad
-        rows = [(name, _f6(getattr(only, name))) for name in names]
-        table = _render_table(("measure", only.method), rows)
-    sys.stdout.write(header + "\n" + table)
-    return 0
+    return 0, payload
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
+# (payload key, column title, cell format) of the measures table
+_MEASURE_COLUMNS = (
+    ("closed_form", "closed_form", _f6),
+    ("quadrature", "quadrature", _f6),
+    ("difference", "|difference|", lambda x: f"{x:.3e}"),
+)
+
+
+def _render_measures(p: dict) -> str:
+    columns = [column for column in _MEASURE_COLUMNS if column[0] in p]
+    rows = [
+        (name, *(fmt(p[key][name]) for key, _, fmt in columns)) for name in _MEASURES
+    ]
+    headers = ("measure", *(title for _, title, _ in columns))
+    return (
+        f"generator: {p['generator']}  theta: {_f6(p['theta'])}\n"
+        + _render_table(headers, rows)
+    )
+
+
+def _cmd_table1(args: argparse.Namespace) -> tuple[int, dict]:
     theta = _theta_arg(args.theta)
     a = abs(theta)
-    rows_payload = []
+    rows = []
     worst = 0.0
-    for name, sigma_ref, tau_ref, rho_ref in _TABLE1_ROWS:
+    for name, *references in _TABLE1_ROWS:
         m = closed_form_measures(Copula(builtin(name), theta))
-        refs = (sigma_ref(a, theta), tau_ref(a, theta), rho_ref(a, theta))
-        rows_payload.append(
-            {
-                "generator": name,
-                "sigma": m.sigma,
-                "sigma_reference": refs[0],
-                "tau": m.tau,
-                "tau_reference": refs[1],
-                "rho": m.rho,
-                "rho_reference": refs[2],
-            }
-        )
-        worst = max(
-            worst,
-            abs(m.sigma - refs[0]),
-            abs(m.tau - refs[1]),
-            abs(m.rho - refs[2]),
-        )
-    agree = worst <= _TABLE1_TOL
-    if args.format == "json":
-        _emit_json(
-            {
-                "theta": theta,
-                "rows": rows_payload,
-                "max_abs_difference": worst,
-                "tolerance": _TABLE1_TOL,
-                "agree": agree,
-            }
-        )
-        return 0
-    rows = [
-        (
-            r["generator"],
-            _f6(r["sigma"]),
-            _f6(r["sigma_reference"]),
-            _f6(r["tau"]),
-            _f6(r["tau_reference"]),
-            _f6(r["rho"]),
-            _f6(r["rho_reference"]),
-        )
-        for r in rows_payload
-    ]
-    table = _render_table(
-        ("generator", "sigma", "sigma_ref", "tau", "tau_ref", "rho", "rho_ref"), rows
-    )
-    footer = (
-        f"max |difference|: {worst:.3e}  "
-        f"(agree at {_TABLE1_TOL:g}: {'yes' if agree else 'no'})"
-    )
-    sys.stdout.write(f"theta: {_f6(theta)}\n" + table + footer + "\n")
-    return 0
+        row = {"generator": name}
+        for key, reference in zip(_MEASURES, references):
+            row[key] = getattr(m, key)
+            row[f"{key}_reference"] = reference(a, theta)
+            worst = max(worst, abs(row[key] - row[f"{key}_reference"]))
+        rows.append(row)
+    return 0, {
+        "theta": theta,
+        "rows": rows,
+        "max_abs_difference": worst,
+        "tolerance": _TABLE1_TOL,
+        "agree": worst <= _TABLE1_TOL,
+    }
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _render_table1(p: dict) -> str:
+    keys = [k for name in _MEASURES for k in (name, f"{name}_reference")]
+    rows = [(r["generator"], *(_f6(r[k]) for k in keys)) for r in p["rows"]]
+    headers = ("generator", "sigma", "sigma_ref", "tau", "tau_ref", "rho", "rho_ref")
+    return (
+        f"theta: {_f6(p['theta'])}\n"
+        + _render_table(headers, rows)
+        + f"max |difference|: {p['max_abs_difference']:.3e}  "
+        f"(agree at {p['tolerance']:g}: {'yes' if p['agree'] else 'no'})\n"
+    )
+
+
+def _cmd_sample(args: argparse.Namespace) -> tuple[int, dict]:
     _check_positive("--n", args.n, 1)
     if not (0 <= args.seed < 2**64):
         raise _CliError(2, "argument", "--seed must fit in 64 bits")
     gen = _make_generator(args)
-    cop = Copula(gen, _theta_arg(args.theta))
-    pairs = cop.sample(args.n, args.seed)
-    if args.format == "json":
-        payload = {
-            "generator": gen.label,
-            "theta": args.theta,
-            "n": pairs.n,
-            "seed": pairs.seed,
-            "pairs": [[u, v] for u, v in pairs],
-        }
-        _emit_json(payload, args.out)
-    else:
-        lines = ["u,v"]
-        lines.extend(f"{u:.17g},{v:.17g}" for u, v in pairs)
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    pairs = Copula(gen, _theta_arg(args.theta)).sample(args.n, args.seed)
+    return 0, {
+        "generator": gen.label,
+        "theta": args.theta,
+        "n": pairs.n,
+        "seed": pairs.seed,
+        "pairs": pairs.pairs,
+    }
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _render_sample(p: dict) -> str:
+    return "u,v\n" + "".join(f"{u:.17g},{v:.17g}\n" for u, v in p["pairs"])
+
+
+def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     _check_positive("--grid", args.grid, 3)
     _check_positive("--resolution", args.resolution, 16)
     _check_tol(args.tol)
@@ -450,87 +405,65 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = dependence_profile(gen, args.theta, grid=args.grid, tol=args.tol)
     payload: dict = {"report": report.to_dict()}
     if args.oracle:
-        pqd = oracle_pqd(cop, grid=201)
-        tp2 = oracle_tp2(cop, grid=101)
+        comparable = args.theta > 0.0
+        oracles = payload["oracles"] = {}
+        for key, verdict in (("pqd", oracle_pqd(cop)), ("tp2", oracle_tp2(cop))):
+            same = verdict.status == report.verdicts[key].status
+            oracles[key] = verdict.to_dict()
+            oracles[key]["agrees"] = same if comparable else None
         cov = oracle_pfd(cop, lambda t: t, resolution=args.resolution)
         ref = pfd_closed_form(cop, lambda t: t)
-        comparable = args.theta > 0.0
-        payload["oracles"] = {
-            "pqd": {
-                **pqd.to_dict(),
-                "agrees": (
-                    pqd.status == report.verdicts["pqd"].status if comparable else None
-                ),
-            },
-            "tp2": {
-                **tp2.to_dict(),
-                "agrees": (
-                    tp2.status == report.verdicts["tp2"].status if comparable else None
-                ),
-            },
-            "pfd": {
-                "g": "t",
-                "covariance": cov,
-                "reference": ref,
-                "difference": abs(cov - ref),
-                "agrees": abs(cov - ref) <= 1e-6,
-            },
+        oracles["pfd"] = {
+            "g": "t",
+            "covariance": cov,
+            "reference": ref,
+            "difference": abs(cov - ref),
+            "agrees": abs(cov - ref) <= 1e-6,
         }
-    if args.format == "json":
-        _emit_json(payload)
-        return 0
-    head = (
-        f"generator: {report.label}  theta: {_f6(report.theta)}  "
-        f"grid: {report.grid}  tol: {report.tol:g}"
+    return 0, payload
+
+
+def _yes_no(flag: bool | None) -> str:
+    return "n/a" if flag is None else ("yes" if flag else "NO")
+
+
+def _render_check(p: dict) -> str:
+    r = p["report"]
+    out = (
+        f"generator: {r['label']}  theta: {_f6(r['theta'])}  "
+        f"grid: {r['grid']}  tol: {r['tol']:g}"
     )
-    if report.negative_dependence:
-        head += "  [negative dependence semantics]"
+    if r["negative_dependence"]:
+        out += "  [negative dependence semantics]"
     rows = [
-        (
-            key,
-            report.verdicts[key].status,
-            _fmt_witness(report.verdicts[key].witness),
-            report.verdicts[key].note,
-        )
-        for key in PROPERTY_KEYS
+        (key, v["status"], _fmt_witness(v["witness"]), v["note"])
+        for key, v in r["verdicts"].items()  # in PROPERTY_KEYS order
     ]
-    out = head + "\n" + _render_table(("property", "status", "witness", "note"), rows)
-    if args.oracle:
-        oracles = payload["oracles"]
-
-        def yn(flag) -> str:
-            return "n/a" if flag is None else ("yes" if flag else "NO")
-
-        orows = [
+    out += "\n" + _render_table(("property", "status", "witness", "note"), rows)
+    if "oracles" in p:
+        oracles = p["oracles"]
+        labels = {"pqd": f"cdf grid {PQD_GRID}", "tp2": f"factorized {TP2_GRID}"}
+        rows = [
             (
-                "pqd (cdf grid 201)",
-                oracles["pqd"]["status"],
-                _fmt_witness(oracles["pqd"]["witness"]),
-                yn(oracles["pqd"]["agrees"]),
-            ),
-            (
-                "tp2 (factorized 101)",
-                oracles["tp2"]["status"],
-                _fmt_witness(oracles["tp2"]["witness"]),
-                yn(oracles["tp2"]["agrees"]),
-            ),
-            (
-                "pfd (g(t)=t)",
-                f"cov {oracles['pfd']['covariance']:.6e}",
-                f"ref {oracles['pfd']['reference']:.6e}",
-                yn(oracles["pfd"]["agrees"]),
-            ),
+                f"{key} ({label})",
+                oracles[key]["status"],
+                _fmt_witness(oracles[key]["witness"]),
+                _yes_no(oracles[key]["agrees"]),
+            )
+            for key, label in labels.items()
         ]
-        out += _render_table(("oracle", "result", "witness", "agrees"), orows)
-    sys.stdout.write(out)
-    return 0
+        pfd = oracles["pfd"]
+        cov, ref = f"cov {pfd['covariance']:.6e}", f"ref {pfd['reference']:.6e}"
+        rows.append(("pfd (g(t)=t)", cov, ref, _yes_no(pfd["agrees"])))
+        out += _render_table(("oracle", "result", "witness", "agrees"), rows)
+    return out
 
 
-def _cmd_converge(args: argparse.Namespace) -> int:
+def _cmd_converge(args: argparse.Namespace) -> tuple[int, dict]:
     _check_positive("--n-max", args.n_max, 1)
     _check_positive("--resolution", args.resolution, 16)
     theta = _theta_arg(args.theta)
-    rows_payload = []
+    rows = []
     for n in range(1, args.n_max + 1):
         formula = tau_phi5(n, theta)
         quad5 = quadrature_measures(
@@ -541,7 +474,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
             tau6 = quadrature_measures(
                 Copula(builtin("phi6", n), theta), resolution=args.resolution
             ).tau
-        rows_payload.append(
+        rows.append(
             {
                 "n": n,
                 "tau5_formula": formula,
@@ -550,11 +483,10 @@ def _cmd_converge(args: argparse.Namespace) -> int:
                 "tau6_quadrature": tau6,
             }
         )
-    if args.format == "json":
-        _emit_json(
-            {"theta": theta, "resolution": args.resolution, "rows": rows_payload}
-        )
-        return 0
+    return 0, {"theta": theta, "resolution": args.resolution, "rows": rows}
+
+
+def _render_converge(p: dict) -> str:
     rows = [
         (
             str(r["n"]),
@@ -563,46 +495,54 @@ def _cmd_converge(args: argparse.Namespace) -> int:
             f"{r['difference']:.3e}",
             "-" if r["tau6_quadrature"] is None else _f6(r["tau6_quadrature"]),
         )
-        for r in rows_payload
+        for r in p["rows"]
     ]
-    table = _render_table(
-        ("n", "tau5_formula", "tau5_quadrature", "|difference|", "tau6_quadrature"),
-        rows,
+    headers = (
+        "n", "tau5_formula", "tau5_quadrature", "|difference|", "tau6_quadrature"
     )
-    sys.stdout.write(
-        f"theta: {_f6(theta)}  resolution: {args.resolution}\n" + table
+    return (
+        f"theta: {_f6(p['theta'])}  resolution: {p['resolution']}\n"
+        + _render_table(headers, rows)
     )
-    return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "measures": _cmd_measures,
-    "table1": _cmd_table1,
-    "sample": _cmd_sample,
-    "check": _cmd_check,
-    "converge": _cmd_converge,
+_COMMANDS: dict[str, tuple[Callable, Callable[[dict], str]]] = {
+    "validate": (_cmd_validate, _render_validate),
+    "measures": (_cmd_measures, _render_measures),
+    "table1": (_cmd_table1, _render_table1),
+    "sample": (_cmd_sample, _render_sample),
+    "check": (_cmd_check, _render_check),
+    "converge": (_cmd_converge, _render_converge),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command, render = _COMMANDS[args.command]
+    out_path = getattr(args, "out", None)  # only sample takes --out
     try:
-        return _COMMANDS[args.command](args)
+        code, payload = command(args)
+        text = _json_text(payload) if args.format == "json" else render(payload)
+        if out_path is None:
+            sys.stdout.write(text)
+            return code
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as err:
+            message = f"cannot write --out {out_path}: {err.strerror or err}"
+            raise _CliError(2, "argument", message) from err
+        return code
     except _CliError as err:
-        _emit_error(args.format, err)
-        return err.code
+        failure = err
     except GeneratorValidationError as err:
-        cli_err = _CliError(
-            1, "validation", str(err), {"report": err.report.to_dict()}
-        )
-        _emit_error(args.format, cli_err)
-        return 1
+        report = {"report": err.report.to_dict()}
+        failure = _CliError(1, "validation", str(err), report)
     except EvaluationDomainError as err:
         # an expression undefined at a point some later scan probes
-        _emit_error(args.format, _CliError(1, "domain", str(err)))
-        return 1
+        failure = _CliError(1, "domain", str(err))
+    _emit_error(args.format, failure)
+    return failure.code
 
 
 if __name__ == "__main__":

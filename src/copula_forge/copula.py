@@ -22,6 +22,11 @@ from .numerics import RandomStream, bisect
 
 __all__ = ["Copula", "SamplePairs", "KinkPointError", "ThetaRangeError"]
 
+# the conditional quantile stops at this residual or bracket width, and
+# gives up after MAX_HALVINGS halvings; the scalar and lockstep paths share both
+QUANTILE_TOL = 1e-12
+MAX_HALVINGS = 200
+
 
 class ThetaRangeError(ValueError):
     """theta outside [-1, 1]; the family is not defined there."""
@@ -106,12 +111,12 @@ class Copula:
             )
         return v + self.theta * self.gen.phi_prime(u) * self.gen.phi(v)
 
-    def conditional_quantile(self, u: float, w: float, tol: float = 1e-12) -> float:
+    def conditional_quantile(self, u: float, w: float) -> float:
         """Inverse of the conditional cdf in v, by bisection.
 
         The conditional cdf is nondecreasing in v (its v-derivative is the
-        density), continuous, 0 at v=0 and 1 at v=1, so bisection to `tol`
-        on the function value (or interval width) always lands.
+        density), continuous, 0 at v=0 and 1 at v=1, so bisection to
+        QUANTILE_TOL on the function value (or interval width) always lands.
         """
         self._check_unit("u", u)
         if not (0.0 <= w <= 1.0):
@@ -122,7 +127,7 @@ class Copula:
             return 0.0
         if w >= f(1.0):
             return 1.0
-        return bisect(f, 0.0, 1.0, w, tol=tol, max_iter=200)
+        return bisect(f, 0.0, 1.0, w, tol=QUANTILE_TOL, max_iter=MAX_HALVINGS)
 
     def rectangle_volume(self, u1: float, u2: float, v1: float, v2: float) -> float:
         """Mass of [u1,u2] x [v1,v2]; requires u1 <= u2 and v1 <= v2."""
@@ -174,7 +179,7 @@ class Copula:
         """Draw n exact pairs via conditional inversion.
 
         For each pair: u ~ U(0,1), w ~ U(0,1) (in that order), and v solves
-        conditional_cdf(u, v) = w by bisection to 1e-12.  A u that lands
+        conditional_cdf(u, v) = w by bisection to QUANTILE_TOL.  A u that lands
         exactly on a declared kink is nudged one ulp toward 1.  All pairs are
         solved together, each with the exact steps of conditional_quantile.
         """
@@ -199,7 +204,8 @@ class Copula:
         order, and the guards, midpoints and stopping rule are those of
         conditional_quantile and numerics.bisect, so every solved v is
         bit-identical.  The mask marks pairs left unsolved: a NaN (where the
-        scalar path raises a domain error) or still live after 200 halvings.
+        scalar path raises a domain error) or still live after MAX_HALVINGS
+        halvings.
         """
         gen = self.gen
         with np.errstate(over="ignore"):  # Python floats overflow to inf too
@@ -214,13 +220,13 @@ class Copula:
             live = np.flatnonzero(~(low | high | undefined))
             a, w = a[live], w[live]
             lo, hi = np.zeros(live.size), np.ones(live.size)
-            for _ in range(200):
+            for _ in range(MAX_HALVINGS):
                 if not live.size:
                     break
                 mid = 0.5 * (lo + hi)
                 fmid = mid + a * gen.phi(mid)
                 nan = np.isnan(fmid)
-                stop = (np.abs(fmid - w) <= 1e-12) | ((hi - lo) <= 1e-12)
+                stop = (np.abs(fmid - w) <= QUANTILE_TOL) | ((hi - lo) <= QUANTILE_TOL)
                 undefined[live[nan]] = True
                 v[live[stop]] = mid[stop]
                 up = fmid < w

@@ -30,13 +30,12 @@ the same quantities from samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .copula import Copula, SamplePairs, check_theta
-from .numerics import QuadratureConfig, aligned_panels, gauss_axis, integrate_1d
+from .numerics import aligned_panels, gauss_axis, integrate_1d
 
 __all__ = [
     "AssociationMeasures",
@@ -75,26 +74,23 @@ class AssociationMeasures:
 # Closed-form route
 
 
-def _generator_integrals(cop: Copula, abs_tol: float) -> tuple[float, float]:
+def _generator_integrals(cop: Copula) -> tuple[float, float]:
     """(int phi, int |phi|) over [0, 1]: exact rationals when available."""
     gen = cop.gen
     if gen.exact_integral is not None and gen.exact_abs_integral is not None:
         return float(gen.exact_integral), float(gen.exact_abs_integral)
-    cfg = QuadratureConfig(abs_tol=abs_tol)
-    plain = integrate_1d(gen.phi, 0.0, 1.0, cfg, breakpoints=gen.kinks)
-    magnitude = integrate_1d(
-        lambda x: abs(gen.phi(x)), 0.0, 1.0, cfg, breakpoints=gen.kinks
-    )
+    plain = integrate_1d(gen.phi, 0.0, 1.0, breakpoints=gen.kinks)
+    magnitude = integrate_1d(lambda x: abs(gen.phi(x)), 0.0, 1.0, breakpoints=gen.kinks)
     return plain, magnitude
 
 
-def closed_form_measures(cop: Copula, abs_tol: float = 1e-12) -> AssociationMeasures:
+def closed_form_measures(cop: Copula) -> AssociationMeasures:
     """sigma/tau/rho from the factorized one-dimensional forms.
 
     Parenthesization is chosen so that linearity in theta and the identity
     rho = 1.5*tau hold exactly in floating point, not just mathematically.
     """
-    plain, magnitude = _generator_integrals(cop, abs_tol)
+    plain, magnitude = _generator_integrals(cop)
     sigma = abs(cop.theta) * (12.0 * magnitude * magnitude)
     tau = cop.theta * (8.0 * plain * plain)
     rho = 1.5 * tau
@@ -163,8 +159,9 @@ def _merge_count(values: list[float]) -> int:
     return swaps
 
 
-def _tie_pairs(values: Iterable[float]) -> int:
-    counts: dict[float, int] = {}
+def _tie_pairs(values: Iterable[Hashable]) -> int:
+    """Number of pairs of equal items."""
+    counts: dict[Hashable, int] = {}
     for v in values:
         counts[v] = counts.get(v, 0) + 1
     return sum(m * (m - 1) // 2 for m in counts.values())
@@ -180,18 +177,11 @@ def empirical_tau(pairs: SamplePairs | Iterable[Sequence[float]]) -> float:
     vs = [v for _, v in pts]
     tie_u = _tie_pairs(u for u, _ in pts)
     tie_v = _tie_pairs(vs)
-    tie_uv = _tie_pairs_exact(pts)
+    tie_uv = _tie_pairs(pts)
     discordant = _merge_count(vs)
     total = n * (n - 1) // 2
     concordant_minus_discordant = total - tie_u - tie_v + tie_uv - 2 * discordant
     return concordant_minus_discordant / total
-
-
-def _tie_pairs_exact(pts: list[tuple[float, float]]) -> int:
-    counts: dict[tuple[float, float], int] = {}
-    for p in pts:
-        counts[p] = counts.get(p, 0) + 1
-    return sum(m * (m - 1) // 2 for m in counts.values())
 
 
 def _average_ranks(values: list[float]) -> list[float]:

@@ -14,31 +14,29 @@ The state after k advances is seed + k * 0x9E3779B97F4A7C15 mod 2^64, so
 draw k depends on (seed, k) alone and a whole run of draws is one array
 computation (``RandomStream.next_floats``).
 
-Quadrature comes in two flavours.  ``integrate_1d`` is adaptive Simpson with
-explicit breakpoint splitting for integrands with known kinks.
-``integrate_2d`` is a composite tensor Gauss-Legendre rule over [0,1]^2:
-``panels_per_axis`` uniform panels per axis with Gauss nodes inside each
-panel.  Cell values fill one fixed-shape array that a single numpy pairwise
-sum reduces, so the result depends only on the integrand and the rule.
+``integrate_1d`` is adaptive Simpson with explicit breakpoint splitting for
+integrands with known kinks.  ``gauss_axis`` gives the nodes and weights of
+a composite Gauss-Legendre rule on [0, 1]; the 2-D integrals take the
+tensor product of one axis with itself over a grid of cell values.
+``eval_grid`` fills such a grid one call per cell.  No code of the package
+calls it any more; it stays because the benchmark's per-layer tracer wraps
+it, and goes once that tracer reads spans from inside the package.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureError",
     "BracketError",
     "ConvergenceError",
     "RandomStream",
     "integrate_1d",
-    "integrate_2d",
     "eval_grid",
     "gauss_axis",
     "aligned_panels",
@@ -60,33 +58,8 @@ class ConvergenceError(ArithmeticError):
     """Iteration cap reached before the tolerance was met."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance and grid policy shared by the quadrature routines.
-
-    abs_tol bounds the absolute error target of integrate_1d and is split
-    across subintervals.  max_depth caps Simpson recursion (never above 60:
-    interval widths hit 1 ulp around depth 52 and further splitting is
-    meaningless).  nodes_per_axis and panels_per_axis describe the 2-D rule;
-    nodes_per_axis must divide evenly into the panels.
-    """
-
-    abs_tol: float = 1e-12
-    max_depth: int = 50
-    nodes_per_axis: int = 512
-    panels_per_axis: int = 1
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be positive")
-        if not (1 <= self.max_depth <= 60):
-            raise ValueError("max_depth must be in 1..60")
-        if self.nodes_per_axis < 2:
-            raise ValueError("nodes_per_axis must be at least 2")
-        if self.panels_per_axis < 1:
-            raise ValueError("panels_per_axis must be at least 1")
-        if self.nodes_per_axis % self.panels_per_axis != 0:
-            raise ValueError("nodes_per_axis must be divisible by panels_per_axis")
+# Simpson recursion depth cap: interval widths reach 1 ulp near depth 52
+MAX_DEPTH = 50
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +70,18 @@ def integrate_1d(
     f: Callable[[float], float],
     a: float,
     b: float,
-    config: QuadratureConfig | None = None,
+    abs_tol: float = 1e-12,
     breakpoints: Sequence[float] = (),
 ) -> float:
-    """Integrate f over [a, b] to the configured absolute tolerance.
+    """Integrate f over [a, b] to the absolute tolerance abs_tol.
 
     Interior breakpoints split the interval first so that integrands with
     known kinks are handled piecewise; adaptive bisection then drives each
-    piece down to its share of abs_tol.  Raises QuadratureError if max_depth
+    piece down to its share of abs_tol.  Raises QuadratureError if MAX_DEPTH
     is exhausted before the local error estimate falls under tolerance.
     """
-    cfg = config or QuadratureConfig()
+    if not (abs_tol > 0.0):
+        raise ValueError("abs_tol must be positive")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite")
     if a > b:
@@ -118,8 +92,8 @@ def integrate_1d(
     total = 0.0
     span = b - a
     for lo, hi in zip(cuts, cuts[1:]):
-        local_tol = cfg.abs_tol * (hi - lo) / span
-        total += _simpson_segment(f, lo, hi, local_tol, cfg.max_depth)
+        local_tol = abs_tol * (hi - lo) / span
+        total += _simpson_segment(f, lo, hi, local_tol, MAX_DEPTH)
     return total
 
 
@@ -154,7 +128,7 @@ def _simpson_refine(f, a, fa, m, fm, b, fb, whole, tol, depth) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 2-D composite tensor Gauss-Legendre
+# Gauss-Legendre rules and grids
 
 
 def aligned_panels(nodes: int) -> int:
@@ -217,18 +191,6 @@ def eval_grid(
     for i, x in enumerate(xs):
         vals[i] = [f(float(x), y) for y in ylist]
     return vals
-
-
-def integrate_2d(
-    f: Callable[[float, float], float],
-    config: QuadratureConfig | None = None,
-) -> float:
-    """Integrate f over the unit square with the configured composite rule."""
-    cfg = config or QuadratureConfig()
-    xs, ws = gauss_axis(cfg.nodes_per_axis, cfg.panels_per_axis)
-    vals = eval_grid(f, xs, xs)
-    weighted = vals * np.outer(ws, ws)
-    return float(np.sum(weighted))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,9 @@ PROPERTY_KEYS = (
 )
 
 _ORACLE_TOL = 1e-12
+PQD_GRID = 201  # nodes per axis of the PQD oracle's uniform cdf grid
+TP2_GRID = 101  # cell midpoints per axis of the TP2 oracle
+PFD_NODES = 64  # Gauss nodes per piece of the PFD closed-form reference
 
 
 @dataclass(frozen=True)
@@ -450,16 +453,14 @@ def dependence_profile(
 # Definition-level oracles
 
 
-def oracle_pqd(cop: Copula, grid: int = 201) -> Verdict:
-    """Check cdf(u,v) >= uv - 1e-12 on the full grid, straight from cdf.
+def oracle_pqd(cop: Copula) -> Verdict:
+    """Check cdf(u,v) >= uv - 1e-12 on the full PQD_GRID grid, straight from cdf.
 
     Tests the positive-quadrant inequality as stated, so for theta < 0 a
     sign-constant generator correctly fails here while the phi-condition
     verdict describes the mirrored property.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    xs = uniform_grid(grid)
+    xs = uniform_grid(PQD_GRID)
     excess = cop.cdf_grid(xs)
     excess -= np.multiply.outer(xs, xs)
     below = excess < -_ORACLE_TOL
@@ -468,12 +469,12 @@ def oracle_pqd(cop: Copula, grid: int = 201) -> Verdict:
         return Verdict(
             status="fails",
             witness=(float(xs[i]), float(xs[j])),
-            note=f"cdf(u,v) < uv - {_ORACLE_TOL:g} at the witness (grid={grid})",
+            note=f"cdf(u,v) < uv - {_ORACLE_TOL:g} at the witness (grid={PQD_GRID})",
             method="definition_oracle",
         )
     return Verdict(
         status="holds",
-        note=f"cdf(u,v) >= uv - {_ORACLE_TOL:g} on the full grid (grid={grid})",
+        note=f"cdf(u,v) >= uv - {_ORACLE_TOL:g} on the full grid (grid={PQD_GRID})",
         method="definition_oracle",
     )
 
@@ -489,8 +490,8 @@ def _first_ordered_pair(
     return None
 
 
-def oracle_tp2(cop: Copula, grid: int = 101) -> Verdict:
-    """Exhaustive 2x2 total-positivity check of the density on a grid.
+def oracle_tp2(cop: Copula) -> Verdict:
+    """Exhaustive 2x2 total-positivity check of the density on TP2_GRID cells.
 
     The cross product c(u1,v1)c(u2,v2) - c(u1,v2)c(u2,v1) factors exactly as
     theta*(phi'(u1)-phi'(u2))*(phi'(v1)-phi'(v2)), so all pairs-of-pairs are
@@ -498,10 +499,8 @@ def oracle_tp2(cop: Copula, grid: int = 101) -> Verdict:
     O(grid^2) instead of O(grid^4).  Grid nodes are cell midpoints, nudged
     off any declared kink abscissa.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
     gen = cop.gen
-    xs = (np.arange(grid) + 0.5) / grid
+    xs = (np.arange(TP2_GRID) + 0.5) / TP2_GRID
     xs = np.where(np.isin(xs, gen.kinks), np.nextafter(xs, 1.0), xs)
     d = raise_at_nan(gen.phi_prime, xs)
     theta = cop.theta
@@ -509,7 +508,7 @@ def oracle_tp2(cop: Copula, grid: int = 101) -> Verdict:
     lo = float((np.minimum.accumulate(d)[:-1] - d[1:]).min())
     hi = float((np.maximum.accumulate(d)[:-1] - d[1:]).max())
     worst = min(theta * lo * lo, theta * lo * hi, theta * hi * hi)
-    note_meta = f"grid={grid}, factorized scan, tol={_ORACLE_TOL:g}"
+    note_meta = f"grid={TP2_GRID}, factorized scan, tol={_ORACLE_TOL:g}"
     if worst >= -_ORACLE_TOL:
         return Verdict(
             status="holds",
@@ -567,24 +566,23 @@ def oracle_pfd(
 def pfd_closed_form(
     cop: Copula,
     g: Callable[[float], float],
-    nodes: int = 64,
     breakpoints: Sequence[float] = (),
 ) -> float:
     """The factorized covariance theta*(integral of g*phi')^2.
 
     The one-dimensional integral is taken piecewise between declared kink
-    abscissae (plus any caller-supplied breakpoints of g) with a Gauss rule
-    whose nodes are strictly interior, so phi' is never sampled where it
+    abscissae (plus any caller-supplied breakpoints of g) with a PFD_NODES-point
+    Gauss rule whose nodes are strictly interior, so phi' is never sampled where it
     jumps.  Serves as the independent reference for ``oracle_pfd``.
     """
     gen = cop.gen
     interior = {k for k in (*gen.kinks, *breakpoints) if 0.0 < k < 1.0}
     cuts = [0.0, *sorted(interior), 1.0]
-    base_x, base_w = legendre_rule(nodes)
+    base_x, base_w = legendre_rule(PFD_NODES)
     panels = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(cuts, cuts[1:])]
     xs = np.concatenate([mid + half * base_x for mid, half in panels])
     slopes = gen.phi_prime(xs).tolist()
-    halves = [half for _, half in panels for _ in range(nodes)]
+    halves = [half for _, half in panels for _ in range(PFD_NODES)]
     weights = base_w.tolist() * len(panels)
     # a plain running sum, in node order: np.sum would pair the terms
     total = 0.0

@@ -354,6 +354,29 @@ def test_sample_out_files_byte_identical(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_sample_out_path_that_cannot_be_written(tmp_path, capsys, fmt, target):
+    path = tmp_path / "no" / "such" / "dir.csv" if target == "missing-directory" else tmp_path
+    code, out, err = run_main(
+        capsys,
+        [
+            "sample", "--phi", "phi2", "--theta", "0.5", "--n", "3",
+            "--format", fmt, "--out", str(path),
+        ],
+    )
+    assert code == 2 and out == ""
+    if fmt == "json":
+        error = json.loads(err)["error"]
+        assert error["kind"] == "argument"
+        message = error["message"]
+    else:
+        assert err.startswith("error: ") and err.endswith("\n")
+        message = err[len("error: ") : -1]
+    assert message.startswith(f"cannot write --out {path}: ")
+    assert not (tmp_path / "no").exists()
+
+
 def test_sample_gen_n_flag(capsys):
     code, out, _ = run_main(
         capsys,

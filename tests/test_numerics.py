@@ -11,7 +11,6 @@ import pytest
 
 from copula_forge.numerics import (
     BracketError,
-    QuadratureConfig,
     QuadratureError,
     RandomStream,
     aligned_panels,
@@ -19,7 +18,6 @@ from copula_forge.numerics import (
     eval_grid,
     gauss_axis,
     integrate_1d,
-    integrate_2d,
 )
 
 
@@ -71,22 +69,18 @@ def test_simpson_jump_discontinuity_raises():
     # delta shrinks at the same rate as its tolerance share.
     cut = 1.0 / math.pi
     f = lambda x: 0.0 if x < cut else 1.0
-    cfg = QuadratureConfig(abs_tol=1e-15)
     with pytest.raises(QuadratureError):
-        integrate_1d(f, 0.0, 1.0, config=cfg)
+        integrate_1d(f, 0.0, 1.0, abs_tol=1e-15)
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(nodes_per_axis=10, panels_per_axis=4)
+def test_integrate_1d_rejects_nonpositive_tolerance():
+    for tol in (0.0, -1e-12, math.nan):
+        with pytest.raises(ValueError):
+            integrate_1d(lambda x: x, 0.0, 1.0, abs_tol=tol)
 
 
 # ---------------------------------------------------------------------------
-# Gauss grids and 2-D integration
+# Gauss grids: 2-D integrals as tensor products of one axis
 
 
 def test_gauss_axis_weights_sum_to_one():
@@ -106,25 +100,29 @@ def test_aligned_panels_policy():
     assert aligned_panels(100) == 1
 
 
+def _tensor_gauss(f, nodes: int, panels: int) -> float:
+    """Integral of f(u, v) over the unit square by the tensor Gauss rule."""
+    xs, ws = gauss_axis(nodes, panels)
+    return float(np.sum(np.outer(ws, ws) * f(xs[:, None], xs[None, :])))
+
+
 def test_gauss_polynomial_exactness_single_panel():
     # n-node Gauss is exact through degree 2n-1 on each axis.
-    n = 8
-    cfg = QuadratureConfig(nodes_per_axis=n, panels_per_axis=1)
-    got = integrate_2d(lambda u, v: (u**15) * (v**7), config=cfg)
+    got = _tensor_gauss(lambda u, v: (u**15) * (v**7), 8, 1)
     assert got == pytest.approx(1.0 / (16 * 8), abs=1e-12)
 
 
 def test_composite_matches_single_panel_on_smooth():
-    f = lambda u, v: math.exp(u) * math.cos(v)
+    f = lambda u, v: np.exp(u) * np.cos(v)
     exact = (math.e - 1.0) * math.sin(1.0)
-    one = integrate_2d(f, config=QuadratureConfig(nodes_per_axis=64, panels_per_axis=1))
-    many = integrate_2d(f, config=QuadratureConfig(nodes_per_axis=64, panels_per_axis=16))
-    assert one == pytest.approx(exact, abs=1e-13)
-    assert many == pytest.approx(exact, abs=1e-13)
+    assert _tensor_gauss(f, 64, 1) == pytest.approx(exact, abs=1e-13)
+    assert _tensor_gauss(f, 64, 16) == pytest.approx(exact, abs=1e-13)
 
 
-def test_integrate_2d_unit_mass():
-    assert integrate_2d(lambda u, v: 1.0) == pytest.approx(1.0, abs=1e-13)
+def test_tensor_gauss_unit_mass():
+    for nodes, panels in ((512, 1), (512, 16), (17, 1)):
+        got = _tensor_gauss(lambda u, v: np.ones_like(u * v), nodes, panels)
+        assert got == pytest.approx(1.0, abs=1e-13)
 
 
 def test_eval_grid_layout():
@@ -135,14 +133,15 @@ def test_eval_grid_layout():
     assert grid[1, 2] == 10.0 * 0.5 + 1.0
 
 
-def test_integrate_2d_bit_identical_across_processes():
+def test_tensor_gauss_bit_identical_across_processes():
     # Full-path determinism check: the same value printed by two separate
     # interpreter processes.
     code = (
-        "import math\n"
-        "from copula_forge.numerics import integrate_2d, QuadratureConfig\n"
-        "cfg = QuadratureConfig(nodes_per_axis=128, panels_per_axis=16)\n"
-        "val = integrate_2d(lambda u, v: math.sin(u) * math.exp(v), config=cfg)\n"
+        "import numpy as np\n"
+        "from copula_forge.numerics import gauss_axis\n"
+        "xs, ws = gauss_axis(128, 16)\n"
+        "cells = np.outer(np.sin(xs), np.exp(xs))\n"
+        "val = float(np.sum(np.outer(ws, ws) * cells))\n"
         "print(f'{val!r}')\n"
     )
     outs = []
