@@ -525,13 +525,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         text = _json_text(payload) if args.format == "json" else render(payload)
         if out_path is None:
             sys.stdout.write(text)
-            return code
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as err:
-            message = f"cannot write --out {out_path}: {err.strerror or err}"
-            raise _CliError(2, "argument", message) from err
+        else:
+            try:
+                with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as err:
+                message = f"cannot write --out {out_path}: {err.strerror or err}"
+                raise _CliError(2, "argument", message) from err
         return code
     except _CliError as err:
         failure = err

@@ -454,7 +454,7 @@ def dependence_profile(
 
 
 def oracle_pqd(cop: Copula) -> Verdict:
-    """Check cdf(u,v) >= uv - 1e-12 on the full PQD_GRID grid, straight from cdf.
+    """Check cdf(u,v) >= uv - 1e-12 on the PQD_GRID-node grid, straight from cdf.
 
     Tests the positive-quadrant inequality as stated, so for theta < 0 a
     sign-constant generator correctly fails here while the phi-condition
@@ -571,9 +571,9 @@ def pfd_closed_form(
     """The factorized covariance theta*(integral of g*phi')^2.
 
     The one-dimensional integral is taken piecewise between declared kink
-    abscissae (plus any caller-supplied breakpoints of g) with a PFD_NODES-point
-    Gauss rule whose nodes are strictly interior, so phi' is never sampled where it
-    jumps.  Serves as the independent reference for ``oracle_pfd``.
+    abscissae (plus any caller-supplied breakpoints of g) with a Gauss rule
+    of PFD_NODES nodes, all strictly interior, so phi' is never sampled
+    where it jumps.  Serves as the independent reference for ``oracle_pfd``.
     """
     gen = cop.gen
     interior = {k for k in (*gen.kinks, *breakpoints) if 0.0 < k < 1.0}
