@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
 from copula_forge.copula import Copula
-from copula_forge.generator import builtin
+from copula_forge.generator import builtin, from_expression
 from copula_forge.measures import (
     AssociationMeasures,
+    _generator_integrals,
     closed_form_measures,
     empirical_rho,
     empirical_tau,
@@ -17,7 +19,9 @@ from copula_forge.measures import (
     tau_phi5,
 )
 
-from conftest import brute_force_tau
+from copula_forge.numerics import integrate_1d, uniform_grid
+
+from conftest import brute_force_tau, random_valid_expression_generators
 
 PI4 = math.pi**4
 
@@ -107,6 +111,36 @@ def test_bounds_for_all_builtins():
             assert m.sigma <= 0.75 * bound + 1e-12
             assert abs(m.tau) <= 0.5 * bound + 1e-12
             assert abs(m.rho) <= 0.75 * bound + 1e-12
+
+
+def _two_pass_integrals(gen) -> tuple[float, float]:
+    """int phi and int |phi| by two full adaptive-Simpson passes."""
+    plain = integrate_1d(gen.phi, 0.0, 1.0, breakpoints=gen.kinks)
+    magnitude = integrate_1d(lambda x: abs(gen.phi(x)), 0.0, 1.0, breakpoints=gen.kinks)
+    return plain, magnitude
+
+
+def test_closed_form_integrals_match_two_simpson_passes_bit_for_bit():
+    seeded = random_valid_expression_generators(100)
+    quadrature_builtins = [
+        dataclasses.replace(builtin(name, n), exact_integral=None, exact_abs_integral=None)
+        for name, n in (("phi1", None), ("phi3", None), ("phi5", 3))
+    ]
+    gens = [
+        builtin("phi4"),
+        *(builtin("phi6", n) for n in range(2, 9)),
+        *quadrature_builtins,
+        *seeded,
+        *(from_expression(f"-({g.source})") for g in seeded[:30]),
+    ]
+    signs = set()
+    for gen in gens:
+        got = _generator_integrals(Copula(gen, 0.5))
+        assert [v.hex() for v in got] == [v.hex() for v in _two_pass_integrals(gen)], gen.label
+        values = gen.phi(uniform_grid(1001))
+        signs.add((bool((values > 0.0).any()), bool((values < 0.0).any())))
+    # phi >= 0, phi <= 0 and sign-changing generators are all covered
+    assert signs == {(True, False), (False, True), (True, True)}
 
 
 def test_to_dict_round_trip():
