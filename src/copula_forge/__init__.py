@@ -55,9 +55,7 @@ from .properties import (
     oracle_pfd,
     oracle_pqd,
     oracle_tp2,
-    ordering_check,
     pfd_closed_form,
-    symmetry_check,
 )
 
 __version__ = "0.1.0"
@@ -88,9 +86,7 @@ __all__ = [
     "Verdict",
     "PropertyReport",
     "PROPERTY_KEYS",
-    "symmetry_check",
     "dependence_profile",
-    "ordering_check",
     "oracle_pqd",
     "oracle_tp2",
     "oracle_pfd",

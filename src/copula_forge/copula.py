@@ -18,14 +18,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .generator import Generator, GeneratorValidationError, raise_at_nan, validate
-from .numerics import RandomStream, bisect
+from .numerics import MAX_HALVINGS, QUANTILE_TOL, RandomStream, bisect
 
 __all__ = ["Copula", "SamplePairs", "KinkPointError", "ThetaRangeError"]
-
-# the conditional quantile stops at this residual or bracket width, and
-# gives up after MAX_HALVINGS halvings; the scalar and lockstep paths share both
-QUANTILE_TOL = 1e-12
-MAX_HALVINGS = 200
 
 
 class ThetaRangeError(ValueError):
@@ -127,7 +122,7 @@ class Copula:
             return 0.0
         if w >= f(1.0):
             return 1.0
-        return bisect(f, 0.0, 1.0, w, tol=QUANTILE_TOL, max_iter=MAX_HALVINGS)
+        return bisect(f, 0.0, 1.0, w)
 
     def rectangle_volume(self, u1: float, u2: float, v1: float, v2: float) -> float:
         """Mass of [u1,u2] x [v1,v2]; requires u1 <= u2 and v1 <= v2."""

@@ -163,8 +163,6 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_OPERATORS = ("**", "+", "-", "*", "/", "^", "(", ")", ",")
-
 
 @dataclass(frozen=True)
 class _Token:

@@ -29,13 +29,14 @@ the same quantities from samples.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .copula import Copula, SamplePairs, check_theta
-from .numerics import aligned_panels, gauss_axis, integrate_1d
+from .numerics import gauss_axis, integrate_1d
 
 __all__ = [
     "AssociationMeasures",
@@ -60,14 +61,6 @@ class AssociationMeasures:
     tau: float
     rho: float
     method: str  # "closed_form" | "quadrature"
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "tau": self.tau,
-            "rho": self.rho,
-            "method": self.method,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +103,7 @@ def quadrature_measures(cop: Copula, resolution: int = 512) -> AssociationMeasur
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
-    xs, ws = gauss_axis(resolution, aligned_panels(resolution))
+    xs, ws = gauss_axis(resolution)
     cgrid = cop.cdf_grid(xs)
     dgrid = cop.density_grid(xs)
     weights = np.outer(ws, ws)
@@ -161,10 +154,7 @@ def _merge_count(values: list[float]) -> int:
 
 def _tie_pairs(values: Iterable[Hashable]) -> int:
     """Number of pairs of equal items."""
-    counts: dict[Hashable, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return sum(m * (m - 1) // 2 for m in counts.values())
+    return sum(m * (m - 1) // 2 for m in Counter(values).values())
 
 
 def empirical_tau(pairs: SamplePairs | Iterable[Sequence[float]]) -> float:
@@ -184,19 +174,10 @@ def empirical_tau(pairs: SamplePairs | Iterable[Sequence[float]]) -> float:
     return concordant_minus_discordant / total
 
 
-def _average_ranks(values: list[float]) -> list[float]:
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = 0.5 * (i + j) + 1.0  # average of 1-based positions i+1..j+1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+def _average_ranks(values: list[float]) -> np.ndarray:
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based sorted position of each tie group's last item
+    return (ends - 0.5 * (counts - 1))[group]  # the mean of the group's positions
 
 
 def empirical_rho(pairs: SamplePairs | Iterable[Sequence[float]]) -> float:
@@ -204,8 +185,8 @@ def empirical_rho(pairs: SamplePairs | Iterable[Sequence[float]]) -> float:
     pts = _as_points(pairs)
     if len(pts) < 2:
         raise ValueError("need at least two pairs")
-    ru = np.array(_average_ranks([u for u, _ in pts]))
-    rv = np.array(_average_ranks([v for _, v in pts]))
+    ru = _average_ranks([u for u, _ in pts])
+    rv = _average_ranks([v for _, v in pts])
     du = ru - ru.mean()
     dv = rv - rv.mean()
     su = float(np.sqrt(np.sum(du * du)))

@@ -16,8 +16,9 @@ computation (``RandomStream.next_floats``).
 
 ``integrate_1d`` is adaptive Simpson with explicit breakpoint splitting for
 integrands with known kinks.  ``gauss_axis`` gives the nodes and weights of
-a composite Gauss-Legendre rule on [0, 1]; the 2-D integrals take the
-tensor product of one axis with itself over a grid of cell values.
+a composite Gauss-Legendre rule on [0, 1] with panels on the builtins'
+kinks; the 2-D integrals take the tensor product of one axis with itself
+over a grid of cell values.
 ``eval_grid`` fills such a grid one call per cell.  No code of the package
 calls it any more; it stays because the benchmark's per-layer tracer wraps
 it, and goes once that tracer reads spans from inside the package.
@@ -39,7 +40,6 @@ __all__ = [
     "integrate_1d",
     "eval_grid",
     "gauss_axis",
-    "aligned_panels",
     "uniform_grid",
     "legendre_rule",
     "bisect",
@@ -60,6 +60,11 @@ class ConvergenceError(ArithmeticError):
 
 # Simpson recursion depth cap: interval widths reach 1 ulp near depth 52
 MAX_DEPTH = 50
+
+# bisection stops at this residual or bracket width, and gives up after
+# MAX_HALVINGS halvings; the scalar and lockstep quantile paths share both
+QUANTILE_TOL = 1e-12
+MAX_HALVINGS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +136,6 @@ def _simpson_refine(f, a, fa, m, fm, b, fb, whole, tol, depth) -> float:
 # Gauss-Legendre rules and grids
 
 
-def aligned_panels(nodes: int) -> int:
-    """Panel count for unit-interval tensor grids built from ``nodes`` points.
-
-    16 uniform panels put boundaries at every k/16, which covers all the
-    derivative-kink abscissae of the piecewise builtins (1/2, and 1/2 +- 1/n
-    for n in {2, 4, 8, 16}); Gauss rules stay spectrally accurate when the
-    integrand is smooth inside each panel.  Falls back to a single panel
-    when 16 does not divide the node count or the grid is too coarse.
-    """
-    if nodes % 16 == 0 and nodes >= 64:
-        return 16
-    return 1
-
-
 def uniform_grid(points: int) -> np.ndarray:
     """The nodes i/(points-1) of [0, 1]: i times the step, the last exactly 1."""
     xs = np.arange(points) * (1.0 / (points - 1))
@@ -165,8 +156,16 @@ def legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
-def gauss_axis(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Gauss-Legendre rule on [0, 1]."""
+def gauss_axis(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on [0, 1].
+
+    16 uniform panels put boundaries at every k/16, which covers all the
+    derivative-kink abscissae of the piecewise builtins (1/2, and 1/2 +- 1/n
+    for n in {2, 4, 8, 16}); Gauss rules stay spectrally accurate when the
+    integrand is smooth inside each panel.  Falls back to a single panel
+    when 16 does not divide the node count or the grid is too coarse.
+    """
+    panels = 16 if nodes % 16 == 0 and nodes >= 64 else 1
     per_panel = nodes // panels
     base_x, base_w = legendre_rule(per_panel)
     xs = np.empty(nodes, dtype=float)
@@ -197,39 +196,30 @@ def eval_grid(
 # Bisection
 
 
-def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
+def bisect(f: Callable[[float], float], lo: float, hi: float, target: float) -> float:
     """Solve f(x) = target on [lo, hi] for a nondecreasing f.
 
-    Stops when |f(mid) - target| <= tol or the bracket width drops to tol.
+    Stops when |f(mid) - target| or the bracket width drops to QUANTILE_TOL.
     Raises BracketError if target is outside [f(lo), f(hi)] and
-    ConvergenceError if max_iter halvings were not enough.
+    ConvergenceError if MAX_HALVINGS halvings were not enough.
     """
     if not (lo <= hi):
         raise ValueError("bisect needs lo <= hi")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     flo, fhi = f(lo), f(hi)
     if not (flo <= target <= fhi):
         raise BracketError(
             f"target {target!r} not bracketed: f({lo!r})={flo!r}, f({hi!r})={fhi!r}"
         )
-    for _ in range(max_iter):
+    for _ in range(MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
-        if abs(fmid - target) <= tol or (hi - lo) <= tol:
+        if abs(fmid - target) <= QUANTILE_TOL or (hi - lo) <= QUANTILE_TOL:
             return mid
         if fmid < target:
             lo = mid
         else:
             hi = mid
-    raise ConvergenceError(f"bisection did not converge in {max_iter} iterations")
+    raise ConvergenceError(f"bisection did not converge in {MAX_HALVINGS} iterations")
 
 
 # ---------------------------------------------------------------------------

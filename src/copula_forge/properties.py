@@ -8,12 +8,12 @@ conditions that are sufficient-only or scans that could not decide.
 
 Two independent layers:
 
-* phi-condition scans (``symmetry_check``, ``dependence_profile``,
-  ``ordering_check``) read the classification off the generator:
-  reflection identities about 1/2 for symmetry; sign constancy of phi for
-  quadrant dependence and concordance ordering; monotonicity of phi(u)/u
-  and phi(u)/(u-1) for tail monotonicity; curvature sign for stochastic
-  increase and density total positivity.
+* the phi-condition scans of ``dependence_profile`` read all twelve
+  verdicts off the generator: reflection identities about 1/2 for
+  symmetry; sign constancy of phi for quadrant dependence and concordance
+  ordering; monotonicity of phi(u)/u and phi(u)/(u-1) for tail
+  monotonicity; curvature sign for stochastic increase, density total
+  positivity and the stochastic-increase ordering.
 
 * definition-level oracles (``oracle_pqd``, ``oracle_tp2``, ``oracle_pfd``)
   verify the same properties directly from cdf/density values, never from
@@ -36,15 +36,13 @@ import numpy as np
 
 from .copula import Copula, check_theta
 from .generator import Generator, raise_at_nan
-from .numerics import aligned_panels, gauss_axis, legendre_rule, uniform_grid
+from .numerics import gauss_axis, legendre_rule, uniform_grid
 
 __all__ = [
     "Verdict",
     "PropertyReport",
     "PROPERTY_KEYS",
-    "symmetry_check",
     "dependence_profile",
-    "ordering_check",
     "oracle_pqd",
     "oracle_tp2",
     "oracle_pfd",
@@ -201,23 +199,24 @@ def _monotone_direction(rise, drop) -> str:
     return "nonincreasing" if rise is None else "nondecreasing"
 
 
+def _curvature_shape(cpos, cneg, flat: str) -> str:
+    """phi's shape where its curvature keeps one sign; flat names none."""
+    if cpos is None and cneg is None:
+        return flat
+    return "concave" if cpos is None else "convex"
+
+
 # ---------------------------------------------------------------------------
 # Symmetry
 
 
-def symmetry_check(
-    gen: Generator, grid: int = 1001, tol: float = 1e-9
-) -> tuple[Verdict, Verdict]:
+def _symmetry(sample: GridSample) -> tuple[Verdict, Verdict]:
     """(radial, joint) symmetry verdicts from the reflection identities.
 
     The copula family is radially symmetric about (1/2, 1/2) iff
     phi(u) = phi(1-u) for all u (even) or phi(u) = -phi(1-u) for all u
     (odd); it is jointly symmetric iff the odd identity holds.
     """
-    return _symmetry(GridSample(gen, grid, tol))
-
-
-def _symmetry(sample: GridSample) -> tuple[Verdict, Verdict]:
     # The point-by-point scan read phi(1-u), then phi(u), node by node, and
     # stopped at the node where it held both witnesses: a NaN up to that
     # node raises, one past it was never read.
@@ -272,9 +271,7 @@ def _symmetry(sample: GridSample) -> tuple[Verdict, Verdict]:
 # Dependence profile
 
 
-def ordering_check(
-    gen: Generator, grid: int = 1001, tol: float = 1e-9
-) -> tuple[Verdict, Verdict]:
+def _ordering(sample: GridSample) -> tuple[Verdict, Verdict]:
     """(concordance, si) ordering verdicts for the family swept over theta.
 
     Concordance ordering holds iff phi keeps one sign.  The curvature
@@ -282,10 +279,6 @@ def ordering_check(
     that verdict is never "fails": a sign-changing curvature yields
     "inconclusive".
     """
-    return _ordering(GridSample(gen, grid, tol))
-
-
-def _ordering(sample: GridSample) -> tuple[Verdict, Verdict]:
     meta = sample.meta
     concordance = _sign_verdict(
         *sample.phi_signs,
@@ -296,23 +289,18 @@ def _ordering(sample: GridSample) -> tuple[Verdict, Verdict]:
         ),
     )
     cpos, cneg = sample.curvature_signs
-    how = _CURVATURE_HOW
     if cpos is None or cneg is None:
-        shape = "constant-curvature"
-        if cpos is None and cneg is not None:
-            shape = "concave"
-        elif cneg is None and cpos is not None:
-            shape = "convex"
+        shape = _curvature_shape(cpos, cneg, "constant-curvature")
         si = Verdict(
             status="holds",
-            note=f"phi is {shape} ({how}; {meta}); sufficient for the ordering",
+            note=f"phi is {shape} ({_CURVATURE_HOW}; {meta}); sufficient for the ordering",
         )
     else:
         si = Verdict(
             status="inconclusive",
             note=(
                 f"curvature changes sign (positive near u={cpos:g}, negative near "
-                f"u={cneg:g}; {how}; {meta}); the convex-or-concave criterion is "
+                f"u={cneg:g}; {_CURVATURE_HOW}; {meta}); the convex-or-concave criterion is "
                 "sufficient only, so failure cannot be certified"
             ),
         )
@@ -410,14 +398,11 @@ def dependence_profile(
             verdicts["rti"] = _tail_verdict(sample, rti_vals, "phi(u)/(u-1)", suffix)
 
         cpos, cneg = sample.curvature_signs
-        how = _CURVATURE_HOW
         if cpos is None or cneg is None:
-            shape = "concave" if cpos is None else "convex"
-            if cpos is None and cneg is None:
-                shape = "affine-flat"
+            shape = _curvature_shape(cpos, cneg, "affine-flat")
             verdicts["si"] = Verdict(
                 status="holds",
-                note=f"phi is {shape} ({how}; {meta}){suffix}",
+                note=f"phi is {shape} ({_CURVATURE_HOW}; {meta}){suffix}",
             )
         else:
             verdicts["si"] = Verdict(
@@ -425,7 +410,7 @@ def dependence_profile(
                 witness=(cpos, cneg),
                 note=(
                     "second derivative takes both signs: witness = (u_pos, "
-                    f"u_neg) ({how}; {meta}){suffix}"
+                    f"u_neg) ({_CURVATURE_HOW}; {meta}){suffix}"
                 ),
             )
 
@@ -553,7 +538,7 @@ def oracle_pfd(
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
-    xs, ws = gauss_axis(resolution, aligned_panels(resolution))
+    xs, ws = gauss_axis(resolution)
     dgrid = cop.density_grid(xs)
     gu = np.array([g(float(x)) for x in xs])
     weights = np.outer(ws, ws)

@@ -31,7 +31,6 @@ from copula_forge.properties import (
     oracle_pqd,
     oracle_tp2,
     pfd_closed_form,
-    symmetry_check,
 )
 
 from conftest import random_valid_expression_generators
@@ -276,7 +275,8 @@ def test_criterion_07_symmetry_classification():
     )
     ok = True
     for name, n, joint_want in expected:
-        radial, joint = symmetry_check(builtin(name, n))
+        verdicts = dependence_profile(builtin(name, n), 1.0).verdicts
+        radial, joint = verdicts["radial_symmetry"], verdicts["joint_symmetry"]
         ok = ok and radial.status == "holds" and joint.status == joint_want
     _verdict(
         7,
@@ -330,7 +330,7 @@ def test_criterion_09_copula_validity_suite():
 
     xs_d = [k / 500.0 for k in range(501)]
     xs_f = [k / 200.0 for k in range(201)]
-    q_nodes, q_weights = gauss_axis(256, 16)
+    q_nodes, q_weights = gauss_axis(256)
     w_outer = np.outer(q_weights, q_weights)
 
     for name, n in FULL_CATALOG:
@@ -435,7 +435,7 @@ def test_criterion_10_determinism():
         == QUADRATURE_DIGESTS["phi1@1"]
     )
 
-    xs, _ = gauss_axis(128, 16)
+    xs, _ = gauss_axis(128)
     cop = Copula(builtin("phi4"), 1.0)
     grid_ok = np.array_equal(cop.density_grid(xs), eval_grid(cop.density, xs, xs))
 

@@ -55,7 +55,7 @@ ARRAY_FORM_BUILTINS = [
 def _array_form_points(gen: Generator) -> np.ndarray:
     """Scan grids and their mirrors, Gauss nodes, random points, kinks."""
     grids = [uniform_grid(1001), uniform_grid(4097)]
-    gauss = [gauss_axis(nodes, 16)[0] for nodes in (64, 128, 256)]
+    gauss = [gauss_axis(nodes)[0] for nodes in (64, 128, 256)]
     # the nodes of pfd_closed_form: 64 per piece between the kinks
     cuts = [0.0, *gen.kinks, 1.0]
     base_x, _ = legendre_rule(64)

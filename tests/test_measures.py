@@ -5,12 +5,14 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from copula_forge.copula import Copula
 from copula_forge.generator import builtin, from_expression
 from copula_forge.measures import (
     AssociationMeasures,
+    _average_ranks,
     _generator_integrals,
     closed_form_measures,
     empirical_rho,
@@ -143,15 +145,9 @@ def test_closed_form_integrals_match_two_simpson_passes_bit_for_bit():
     assert signs == {(True, False), (False, True), (True, True)}
 
 
-def test_to_dict_round_trip():
+def test_association_measures_are_frozen():
     m = closed_form_measures(Copula(builtin("phi2"), 1.0))
-    d = m.to_dict()
-    assert d == {
-        "sigma": m.sigma,
-        "tau": m.tau,
-        "rho": m.rho,
-        "method": "closed_form",
-    }
+    assert m.method == "closed_form"
     assert isinstance(m, AssociationMeasures)
     with pytest.raises(AttributeError):
         m.tau = 0.0  # frozen
@@ -296,6 +292,31 @@ def test_empirical_rho_with_ties_matches_scipy():
     vs = [p[1] for p in pts]
     want = scipy_stats.spearmanr(us, vs).statistic
     assert empirical_rho(pts) == pytest.approx(want, abs=1e-12)
+
+
+def _loop_average_ranks(values):
+    """Average 1-based ranks, tie group by tie group over a stable sort."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_match_the_tie_group_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3, 10, 257):
+        for _ in range(20):
+            values = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size).tolist()
+            values += rng.integers(0, 4, size).astype(float).tolist()
+            want = [r.hex() for r in _loop_average_ranks(values)]
+            assert [float(r).hex() for r in _average_ranks(values)] == want
 
 
 def test_empirical_estimates_near_population_values():

@@ -13,11 +13,11 @@ from copula_forge.numerics import (
     BracketError,
     QuadratureError,
     RandomStream,
-    aligned_panels,
     bisect,
     eval_grid,
     gauss_axis,
     integrate_1d,
+    legendre_rule,
 )
 
 
@@ -84,44 +84,56 @@ def test_integrate_1d_rejects_nonpositive_tolerance():
 
 
 def test_gauss_axis_weights_sum_to_one():
-    for nodes, panels in ((16, 1), (64, 16), (512, 16)):
-        xs, ws = gauss_axis(nodes, panels)
+    for nodes in (16, 64, 512):
+        xs, ws = gauss_axis(nodes)
         assert xs.shape == ws.shape == (nodes,)
         assert np.all((xs > 0.0) & (xs < 1.0))
         assert np.all(np.diff(xs) > 0.0)
         assert ws.sum() == pytest.approx(1.0, abs=1e-14)
 
 
-def test_aligned_panels_policy():
-    assert aligned_panels(512) == 16
-    assert aligned_panels(64) == 16
-    assert aligned_panels(48) == 1  # not divisible by 16
-    assert aligned_panels(32) == 1  # too coarse
-    assert aligned_panels(100) == 1
+def test_gauss_axis_panel_placement():
+    # one Legendre rule per sixteenth of [0, 1], so that every k/16 is a
+    # panel boundary, when 16 divides the node count and there are at least
+    # 64 nodes; one panel over [0, 1] otherwise
+    for nodes, panels in ((512, 16), (64, 16), (48, 1), (32, 1), (100, 1)):
+        xs, ws = gauss_axis(nodes)
+        per_panel = nodes // panels
+        base_x, base_w = legendre_rule(per_panel)
+        starts = np.repeat(np.arange(panels) / panels, per_panel)
+        inside = np.tile((base_x + 1.0) / (2 * panels), panels)
+        np.testing.assert_allclose(xs - starts, inside, rtol=0.0, atol=1e-15)
+        assert np.array_equal(ws, np.tile(base_w, panels) / (2 * panels))
 
 
-def _tensor_gauss(f, nodes: int, panels: int) -> float:
+def _single_panel(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one-panel Gauss-Legendre rule on [0, 1]."""
+    base_x, base_w = legendre_rule(nodes)
+    return (base_x + 1.0) * 0.5, base_w * 0.5
+
+
+def _tensor_gauss(f, rule: tuple[np.ndarray, np.ndarray]) -> float:
     """Integral of f(u, v) over the unit square by the tensor Gauss rule."""
-    xs, ws = gauss_axis(nodes, panels)
+    xs, ws = rule
     return float(np.sum(np.outer(ws, ws) * f(xs[:, None], xs[None, :])))
 
 
 def test_gauss_polynomial_exactness_single_panel():
     # n-node Gauss is exact through degree 2n-1 on each axis.
-    got = _tensor_gauss(lambda u, v: (u**15) * (v**7), 8, 1)
+    got = _tensor_gauss(lambda u, v: (u**15) * (v**7), _single_panel(8))
     assert got == pytest.approx(1.0 / (16 * 8), abs=1e-12)
 
 
 def test_composite_matches_single_panel_on_smooth():
     f = lambda u, v: np.exp(u) * np.cos(v)
     exact = (math.e - 1.0) * math.sin(1.0)
-    assert _tensor_gauss(f, 64, 1) == pytest.approx(exact, abs=1e-13)
-    assert _tensor_gauss(f, 64, 16) == pytest.approx(exact, abs=1e-13)
+    assert _tensor_gauss(f, _single_panel(64)) == pytest.approx(exact, abs=1e-13)
+    assert _tensor_gauss(f, gauss_axis(64)) == pytest.approx(exact, abs=1e-13)
 
 
 def test_tensor_gauss_unit_mass():
-    for nodes, panels in ((512, 1), (512, 16), (17, 1)):
-        got = _tensor_gauss(lambda u, v: np.ones_like(u * v), nodes, panels)
+    for rule in (_single_panel(512), gauss_axis(512), gauss_axis(17)):
+        got = _tensor_gauss(lambda u, v: np.ones_like(u * v), rule)
         assert got == pytest.approx(1.0, abs=1e-13)
 
 
@@ -139,7 +151,7 @@ def test_tensor_gauss_bit_identical_across_processes():
     code = (
         "import numpy as np\n"
         "from copula_forge.numerics import gauss_axis\n"
-        "xs, ws = gauss_axis(128, 16)\n"
+        "xs, ws = gauss_axis(128)\n"
         "cells = np.outer(np.sin(xs), np.exp(xs))\n"
         "val = float(np.sum(np.outer(ws, ws) * cells))\n"
         "print(f'{val!r}')\n"

@@ -18,12 +18,24 @@ from copula_forge.properties import (
     oracle_pfd,
     oracle_pqd,
     oracle_tp2,
-    ordering_check,
     pfd_closed_form,
-    symmetry_check,
 )
 
 DEPENDENCE_KEYS = ("pfd", "pqd", "ltd", "rti", "si", "lcsd", "rcsi", "tp2")
+
+
+def _pair(gen, first: str, second: str, **scan):
+    """Two verdicts of the theta = 1 profile."""
+    verdicts = dependence_profile(gen, 1.0, **scan).verdicts
+    return verdicts[first], verdicts[second]
+
+
+def _symmetry(gen, **scan):
+    return _pair(gen, "radial_symmetry", "joint_symmetry", **scan)
+
+
+def _ordering(gen):
+    return _pair(gen, "concordance_ordered", "si_ordered")
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +53,14 @@ def test_symmetry_classification_of_builtins():
         ("phi5", 4, False),
         ("phi6", 3, False),
     ):
-        radial, joint = symmetry_check(builtin(name, n))
+        radial, joint = _symmetry(builtin(name, n))
         assert radial.status == "holds", name
         assert joint.status == ("holds" if want_joint else "fails"), name
 
 
 def test_joint_failure_witness_is_smallest_and_checkable():
     gen = builtin("phi2")
-    _, joint = symmetry_check(gen)
+    _, joint = _symmetry(gen)
     (u,) = joint.witness
     assert u == pytest.approx(0.001, abs=1e-15)
     # re-check the defining identity phi(1-u) == -phi(u) actually breaks here
@@ -58,16 +70,16 @@ def test_joint_failure_witness_is_smallest_and_checkable():
 def test_zero_generator_is_fully_symmetric():
     zero_form = lambda x: 0.0 * x
     zero = Generator(phi=zero_form, phi_prime=zero_form, phi_second=zero_form, label="zero")
-    radial, joint = symmetry_check(zero)
+    radial, joint = _symmetry(zero)
     assert radial.status == "holds"
     assert joint.status == "holds"
 
 
 def test_symmetry_argument_rules():
     with pytest.raises(ValueError):
-        symmetry_check(builtin("phi2"), grid=2)
+        _symmetry(builtin("phi2"), grid=2)
     with pytest.raises(ValueError):
-        symmetry_check(builtin("phi2"), tol=0.0)
+        _symmetry(builtin("phi2"), tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +217,11 @@ def test_profile_argument_rules():
 
 
 def test_ordering_verdicts():
-    conc, si = ordering_check(builtin("phi2"))
+    conc, si = _ordering(builtin("phi2"))
     assert conc.status == "holds"
     assert si.status == "holds"
 
-    conc3, si3 = ordering_check(builtin("phi3"))
+    conc3, si3 = _ordering(builtin("phi3"))
     assert conc3.status == "fails"
     assert conc3.witness == (pytest.approx(0.001), pytest.approx(0.501))
     assert si3.status == "inconclusive"
@@ -218,7 +230,7 @@ def test_ordering_verdicts():
 
 def test_concordance_failure_witness_is_checkable():
     gen = builtin("phi3")
-    conc, _ = ordering_check(gen)
+    conc, _ = _ordering(gen)
     pos, neg = conc.witness
     # a genuine sign change makes theta |-> C_theta(u, v) non-monotone
     lo = Copula(gen, 0.2)
@@ -229,7 +241,7 @@ def test_concordance_failure_witness_is_checkable():
 def test_si_ordering_never_fails():
     for name, n in (("phi1", None), ("phi2", None), ("phi3", None),
                     ("phi4", None), ("phi5", 2), ("phi6", 4)):
-        _, si = ordering_check(builtin(name, n))
+        _, si = _ordering(builtin(name, n))
         assert si.status in {"holds", "inconclusive"}, name
 
 
@@ -351,16 +363,15 @@ def test_profile_raises_the_first_error_in_read_order():
         phi_second=with_hole(fgm.phi_second, _curvature_hole),
         label="holed",
     )
-    # theta != 0: the rti scan reads phi'(1) before the curvature scan runs
+    # theta != 0: the symmetry scan, which runs first, reads only phi, and
+    # the rti scan reads phi'(1) before the curvature scan runs
     with pytest.raises(EvaluationDomainError) as err:
         dependence_profile(gen, 0.5)
     assert err.value.x == 1.0
-    # theta = 0 reads only phi and phi''
-    for scan in (lambda: dependence_profile(gen, 0.0), lambda: ordering_check(gen)):
-        with pytest.raises(EvaluationDomainError) as err:
-            scan()
-        assert err.value.x == 0.201
-    assert symmetry_check(gen)[0].status == "holds"
+    # theta = 0 runs only the ordering scans, which read only phi and phi''
+    with pytest.raises(EvaluationDomainError) as err:
+        dependence_profile(gen, 0.0)
+    assert err.value.x == 0.201
 
 
 @pytest.mark.filterwarnings("error")
@@ -387,8 +398,8 @@ def test_profile_domain_probes():
         assert err.value.x == 0.0
     # phi(1-0.9) is undefined, but the symmetry scan has both witnesses by then
     gen = from_expression("x*(1-x)*(2+x)/4 + 0*(1/(x-0.09999999999999998))")
-    assert dependence_profile(gen, 0.5).verdicts["radial_symmetry"].status == "fails"
-    assert symmetry_check(gen)[1].status == "fails"
+    radial, joint = _symmetry(gen)
+    assert radial.status == "fails" and joint.status == "fails"
 
 
 @pytest.mark.filterwarnings("error")
@@ -406,7 +417,7 @@ def test_symmetry_scan_raises_at_a_hole_where_it_would_stop():
     hole = 1.0 - float(xs[k])  # read only as the mirror of node k
     probe = from_expression(f"{base} + 0*(1/(x-{hole!r}))")
     with pytest.raises(EvaluationDomainError) as err:
-        symmetry_check(probe, tol=tol)
+        _symmetry(probe, tol=tol)
     assert err.value.x == hole
 
 
