@@ -68,11 +68,30 @@ class AssociationMeasures:
 
 
 def _generator_integrals(cop: Copula) -> tuple[float, float]:
-    """(int phi, int |phi|) over [0, 1]: exact rationals when available."""
+    """(int phi, int |phi|) over [0, 1]: exact rationals when available.
+
+    Simpson's arithmetic commutes exactly with negation, so where every
+    value the first pass read keeps one sign, the |phi| pass would return
+    plain or -plain bit for bit and is skipped.
+    """
     gen = cop.gen
     if gen.exact_integral is not None and gen.exact_abs_integral is not None:
         return float(gen.exact_integral), float(gen.exact_abs_integral)
-    plain = integrate_1d(gen.phi, 0.0, 1.0, breakpoints=gen.kinks)
+    signs = [False, False]  # a value read was > 0, < 0
+
+    def phi(x: float) -> float:
+        y = gen.phi(x)
+        if y > 0.0:
+            signs[0] = True
+        elif y < 0.0:
+            signs[1] = True
+        return y
+
+    plain = integrate_1d(phi, 0.0, 1.0, breakpoints=gen.kinks)
+    if not signs[1]:
+        return plain, plain
+    if not signs[0]:
+        return plain, -plain
     magnitude = integrate_1d(lambda x: abs(gen.phi(x)), 0.0, 1.0, breakpoints=gen.kinks)
     return plain, magnitude
 
