@@ -79,6 +79,15 @@ _TABLE1_ROWS: tuple[tuple[str, Callable, Callable, Callable], ...] = (
 )
 _TABLE1_TOL = 1e-10
 
+# upper bounds of the size arguments, refused before anything is allocated:
+# one run at a cap stays under about 1 GB (the arrays of a scan grid or of a
+# Gauss tensor grid, or a sample and its text), and --n-max bounds the
+# number of quadratures of converge
+MAX_GRID = 4_194_305  # 2^22 + 1 scan points
+MAX_RESOLUTION = 4096  # quadrature nodes per axis
+MAX_DRAWS = 1_000_000  # sample pairs
+MAX_N_MAX = 1000
+
 
 class _CliError(Exception):
     """Post-parse failure with an exit code and a JSON-able payload."""
@@ -229,9 +238,11 @@ def _theta_arg(theta: float) -> float:
         raise _CliError(2, "argument", str(err)) from err
 
 
-def _check_positive(name: str, value: int, minimum: int) -> None:
+def _check_positive(name: str, value: int, minimum: int, maximum: int) -> None:
     if value < minimum:
         raise _CliError(2, "argument", f"{name} must be at least {minimum}")
+    if value > maximum:
+        raise _CliError(2, "argument", f"{name} must be at most {maximum}")
 
 
 def _check_tol(tol: float) -> None:
@@ -280,7 +291,7 @@ def _fmt_witness(w) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
-    _check_positive("--grid", args.grid, 3)
+    _check_positive("--grid", args.grid, 3, MAX_GRID)
     _check_tol(args.tol)
     report = validate(_make_generator(args), grid_points=args.grid, tol=args.tol)
     return (0 if report.overall_pass else 1), report.to_dict()
@@ -304,7 +315,7 @@ _MEASURES = ("sigma", "tau", "rho")
 
 
 def _cmd_measures(args: argparse.Namespace) -> tuple[int, dict]:
-    _check_positive("--resolution", args.resolution, 16)
+    _check_positive("--resolution", args.resolution, 16, MAX_RESOLUTION)
     gen = _make_generator(args)
     cop = Copula(gen, _theta_arg(args.theta))
     payload: dict = {"generator": gen.label, "theta": args.theta, "method": args.method}
@@ -378,7 +389,7 @@ def _render_table1(p: dict) -> str:
 
 
 def _cmd_sample(args: argparse.Namespace) -> tuple[int, dict]:
-    _check_positive("--n", args.n, 1)
+    _check_positive("--n", args.n, 1, MAX_DRAWS)
     if not (0 <= args.seed < 2**64):
         raise _CliError(2, "argument", "--seed must fit in 64 bits")
     gen = _make_generator(args)
@@ -397,8 +408,8 @@ def _render_sample(p: dict) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
-    _check_positive("--grid", args.grid, 3)
-    _check_positive("--resolution", args.resolution, 16)
+    _check_positive("--grid", args.grid, 3, MAX_GRID)
+    _check_positive("--resolution", args.resolution, 16, MAX_RESOLUTION)
     _check_tol(args.tol)
     gen = _make_generator(args)
     cop = Copula(gen, _theta_arg(args.theta))
@@ -460,8 +471,8 @@ def _render_check(p: dict) -> str:
 
 
 def _cmd_converge(args: argparse.Namespace) -> tuple[int, dict]:
-    _check_positive("--n-max", args.n_max, 1)
-    _check_positive("--resolution", args.resolution, 16)
+    _check_positive("--n-max", args.n_max, 1, MAX_N_MAX)
+    _check_positive("--resolution", args.resolution, 16, MAX_RESOLUTION)
     theta = _theta_arg(args.theta)
     rows = []
     for n in range(1, args.n_max + 1):

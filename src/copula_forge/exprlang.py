@@ -336,7 +336,12 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "number":
             self._advance()
-            value = float(tok.text)
+            try:
+                value = float(tok.text)
+            except ValueError:  # str.isdigit also accepts digits such as '²'
+                raise ExpressionSyntaxError(
+                    f"malformed numeric literal {tok.text!r}", tok.pos, frozenset({"number"})
+                ) from None
             if not math.isfinite(value):
                 raise ExpressionSyntaxError(
                     f"numeric literal {tok.text!r} overflows a double",

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from copula_forge.cli import main
+from copula_forge.cli import MAX_DRAWS, MAX_GRID, MAX_N_MAX, MAX_RESOLUTION, main
 from copula_forge.copula import Copula
 from copula_forge.generator import builtin
 
@@ -176,6 +176,19 @@ def test_validate_too_deep_is_a_syntax_error(capsys, source):
     payload = json.loads(err)
     assert payload["error"]["kind"] == "syntax"
     assert "deeper than" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("source, offset", [("\u00b2", 1), ("x*(1-x)*0.5\u00b2", 9)])
+def test_validate_superscript_digit_is_a_syntax_error(capsys, source, offset):
+    code, out, err = run_main(capsys, ["validate", "--phi-expr", source])
+    assert code == 2 and out == ""
+    literal = source[offset - 1 :]
+    assert err == f"error: malformed numeric literal {literal!r} at offset {offset}\n"
+    code, out, err = run_main(capsys, ["validate", "--phi-expr", source, "--format", "json"])
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "syntax"
+    assert payload["offset"] == offset and payload["expected"] == ["number"]
 
 
 def test_validate_unknown_identifier(capsys):
@@ -411,6 +424,35 @@ def test_sample_rejects_zero_n(capsys):
     )
     assert code == 2
     assert "--n" in err
+
+
+_SIZE_ARGS = (
+    (["validate", "--phi", "phi2"], "--grid", MAX_GRID),
+    (["check", "--phi", "phi2", "--theta", "0.5"], "--grid", MAX_GRID),
+    (["measures", "--phi", "phi2", "--theta", "0.5", "--method", "quad"],
+     "--resolution", MAX_RESOLUTION),
+    (["check", "--phi", "phi2", "--theta", "0.5", "--oracle"], "--resolution", MAX_RESOLUTION),
+    (["converge", "--theta", "0.5"], "--resolution", MAX_RESOLUTION),
+    (["converge", "--theta", "0.5"], "--n-max", MAX_N_MAX),
+    (["sample", "--phi", "phi2", "--theta", "0.5"], "--n", MAX_DRAWS),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, cap", _SIZE_ARGS, ids=[f"{a[0]}{f}" for a, f, _ in _SIZE_ARGS]
+)
+@pytest.mark.parametrize("value", ["cap+1", str(10**20)])
+def test_sizes_above_their_cap_are_argument_errors(capsys, argv, flag, cap, value):
+    # refused before anything of that size is allocated or looped over
+    value = str(cap + 1) if value == "cap+1" else value
+    code, out, err = run_main(capsys, [*argv, flag, value])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be at most {cap}\n"
+    code, out, err = run_main(capsys, [*argv, flag, value, "--format", "json"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": {"kind": "argument", "message": f"{flag} must be at most {cap}"}
+    }
 
 
 def test_sample_missing_n_is_usage_error(capsys):

@@ -106,6 +106,16 @@ def test_syntax_error_number_overflow():
         parse("1e999")
 
 
+def test_syntax_error_digit_that_float_rejects():
+    # str.isdigit accepts superscripts, which float() does not read
+    for source, offset in (("\u00b2", 1), ("x*(1-x)*0.5\u00b2", 9)):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse(source)
+        assert exc.value.offset == offset
+        assert exc.value.expected == frozenset({"number"})
+        assert str(exc.value).startswith("malformed numeric literal")
+
+
 def test_unknown_identifier_offset():
     with pytest.raises(UnknownIdentifierError) as exc:
         parse("x + tan(x)")
