@@ -12,7 +12,7 @@ Grammar (user-facing), in one variable ``x``:
             | '(' expr ')'
 
 Numbers are decimal literals with optional fraction and exponent.  Error
-offsets are 1-based byte positions into the source string.  Trees deeper than
+offsets are 1-based character positions into the source string.  Trees deeper than
 MAX_DEPTH, and nesting of parentheses, calls, signs and exponents deeper than
 MAX_DEPTH, are syntax errors: evaluation, differentiation and printing recurse
 once per level, and the cap keeps their second derivatives inside Python's
@@ -71,7 +71,7 @@ class ExpressionError(ValueError):
 class ExpressionSyntaxError(ExpressionError):
     """Malformed source text.
 
-    offset is the 1-based byte position of the offending token (end of input
+    offset is the 1-based character position of the offending token (end of input
     counts as len(source) + 1); expected is the set of token descriptions
     that would have been accepted there.
     """
@@ -168,7 +168,7 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 class _Token:
     kind: str  # "number" | "ident" | "op" | "end"
     text: str
-    pos: int  # 1-based byte offset
+    pos: int  # 1-based character offset
 
 
 def _tokenize(source: str) -> list[_Token]:
