@@ -12,11 +12,11 @@ Grammar (user-facing), in one variable ``x``:
             | '(' expr ')'
 
 Numbers are decimal literals with optional fraction and exponent.  Error
-offsets are 1-based character positions into the source string.  Trees deeper than
-MAX_DEPTH, and nesting of parentheses, calls, signs and exponents deeper than
-MAX_DEPTH, are syntax errors: evaluation, differentiation and printing recurse
-once per level, and the cap keeps their second derivatives inside Python's
-default recursion limit.
+offsets are 1-based character (not byte) positions into the source string.
+Trees deeper than MAX_DEPTH, and nesting of parentheses, calls, signs and
+exponents deeper than MAX_DEPTH, are syntax errors: evaluation,
+differentiation and printing recurse once per level, and the cap keeps their
+second derivatives inside Python's default recursion limit.
 
 Derivatives are symbolic.  min, max and abs differentiate piecewise with the
 LEFT branch chosen on the tie set, carried by an internal selector node that
@@ -71,9 +71,9 @@ class ExpressionError(ValueError):
 class ExpressionSyntaxError(ExpressionError):
     """Malformed source text.
 
-    offset is the 1-based character position of the offending token (end of input
-    counts as len(source) + 1); expected is the set of token descriptions
-    that would have been accepted there.
+    offset is the 1-based character position of the offending token (end of
+    input counts as len(source) + 1); expected is the set of token
+    descriptions that would have been accepted there.
     """
 
     def __init__(self, message: str, offset: int, expected: frozenset[str]) -> None:
@@ -340,7 +340,9 @@ class _Parser:
                 value = float(tok.text)
             except ValueError:  # str.isdigit also accepts digits such as '²'
                 raise ExpressionSyntaxError(
-                    f"malformed numeric literal {tok.text!r}", tok.pos, frozenset({"number"})
+                    f"malformed numeric literal {tok.text!r}",
+                    tok.pos,
+                    frozenset({"number"}),
                 ) from None
             if not math.isfinite(value):
                 raise ExpressionSyntaxError(
