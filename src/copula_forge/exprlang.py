@@ -14,9 +14,11 @@ Grammar (user-facing), in one variable ``x``:
 Numbers are decimal literals with optional fraction and exponent.  Error
 offsets are 1-based character (not byte) positions into the source string.
 Trees deeper than MAX_DEPTH, and nesting of parentheses, calls, signs and
-exponents deeper than MAX_DEPTH, are syntax errors: evaluation,
+exponents deeper than MAX_DEPTH, are syntax errors: float evaluation,
 differentiation and printing recurse once per level, and the cap keeps their
-second derivatives inside Python's default recursion limit.
+second derivatives inside Python's default recursion limit.  Array forms
+(``compile_array``) recurse nowhere: each plans its tree once, at its first
+call, as one step per distinct node.
 
 Derivatives are symbolic.  min, max and abs differentiate piecewise with the
 LEFT branch chosen on the tie set, carried by an internal selector node that
@@ -31,7 +33,6 @@ advertised input grammar.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +52,7 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_array",
+    "compile_array",
     "differentiate",
     "to_source",
     "MAX_DEPTH",
@@ -482,24 +484,37 @@ def evaluate_array(expr: Expression, xs) -> np.ndarray:
     Each value is bit-identical to ``evaluate`` at that point, and NaN marks
     exactly the points where ``evaluate`` raises EvaluationDomainError:
     every value ``evaluate`` returns is finite, so NaN is free to carry the
-    domain mask.  Every tree node is evaluated once per chunk of points, in
-    post-order; a node shared by several parents (``differentiate`` shares
-    subtrees) keeps its array only until its last parent has read it.  ln and
-    ^ go point by point through math.log and ``**``, because numpy's log and
-    power do not round like libm's.
+    domain mask.
     """
-    points = np.asarray(xs, dtype=float)
-    if not np.isfinite(points).all():
-        raise ValueError("x must be finite")
-    order = _postorder(expr)
-    readers = Counter(id(c) for node in order for c in _children(node))
-    flat = points.ravel()
-    out = np.empty(flat.size)
-    with np.errstate(all="ignore"):
-        for start in range(0, flat.size, _CHUNK):
-            chunk = flat[start : start + _CHUNK]
-            out[start : start + chunk.size] = _run(order, readers, chunk)
-    return out.reshape(points.shape)
+    return compile_array(expr)(xs)
+
+
+def compile_array(expr: Expression) -> Callable[..., np.ndarray]:
+    """The array form of expr: it plans its steps (``_plan``) at its first call
+    and then only runs them.  ``compile_array(expr)(xs)`` is evaluate_array.
+    """
+    steps: list[tuple] = []  # planned at the first call
+
+    def form(xs) -> np.ndarray:
+        points = np.asarray(xs, dtype=float)
+        if not np.isfinite(points).all():
+            raise ValueError("x must be finite")
+        if not steps:
+            steps.extend(_plan(expr))
+        flat = points.ravel()
+        out = np.empty(flat.size)
+        with np.errstate(all="ignore"):
+            for start in range(0, flat.size, _CHUNK):
+                chunk = flat[start : start + _CHUNK]
+                values: list = [None] * len(steps) + [chunk]
+                for slot, (kernel, args, done) in enumerate(steps):
+                    values[slot] = kernel(*[values[a] for a in args])
+                    for a in done:
+                        values[a] = None
+                out[start : start + chunk.size] = values[len(steps) - 1]
+        return out.reshape(points.shape)
+
+    return form
 
 
 def _children(node: Expression) -> tuple[Expression, ...]:
@@ -528,17 +543,27 @@ def _postorder(expr: Expression) -> list[Expression]:
     return order
 
 
-def _run(order: list[Expression], readers: Counter, xs: np.ndarray) -> np.ndarray:
-    values: dict[int, np.ndarray] = {}
-    unread = dict(readers)
-    for node in order:
-        children = _children(node)
-        values[id(node)] = _apply(node, [values[id(c)] for c in children], xs)
-        for child in children:
-            unread[id(child)] -= 1
-            if unread[id(child)] == 0:
-                del values[id(child)]
-    return values[id(order[-1])]
+def _plan(expr: Expression) -> list[tuple]:
+    """(kernel, argument slots, slots no later step reads) per distinct node,
+    children first.  Step i writes slot i; leaves read the chunk of points,
+    in the slot after the last step.
+    """
+    order = _postorder(expr)
+    slots = {id(node): i for i, node in enumerate(order)}
+    reads = [tuple(slots[id(c)] for c in _children(node)) or (len(order),) for node in order]
+    last_reader = {slot: i for i, args in enumerate(reads) for slot in args}
+    frees: list[list[int]] = [[] for _ in order]
+    for slot, i in last_reader.items():
+        frees[i].append(slot)
+    return [(_kernel(node), args, tuple(free)) for node, args, free in zip(order, reads, frees)]
+
+
+def _kernel(node: Expression) -> Callable[..., np.ndarray]:
+    if isinstance(node, Num):
+        return lambda xs, value=node.value: np.full(xs.shape, value)
+    if isinstance(node, Var):
+        return lambda xs: xs
+    return _KERNELS["ifle" if isinstance(node, Branch) else node.op]
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -564,53 +589,29 @@ def _pointwise(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply(node: Expression, args: list[np.ndarray], xs: np.ndarray) -> np.ndarray:
-    """One node over a chunk, given its children's arrays (NaN = undefined)."""
-    if isinstance(node, Num):
-        return np.full(xs.shape, node.value)
-    if isinstance(node, Var):
-        return xs
-    if isinstance(node, Unary):
-        (v,) = args
-        op = node.op
-        if op == "neg":
-            return -v
-        if op == "sin":
-            return np.sin(v)
-        if op == "cos":
-            return np.cos(v)
-        if op == "abs":
-            return np.abs(v)
-        if op == "sqrt":
-            return np.sqrt(v)  # NaN below zero
-        if op == "ln":
-            return _pointwise(_log_or_nan, v)
-        raise AssertionError(f"unhandled unary op {op!r}")
-    if isinstance(node, Binary):
-        a, b = args
-        op = node.op
-        if op == "+":
-            return _finite(a + b)
-        if op == "-":
-            return _finite(a - b)
-        if op == "*":
-            return _finite(a * b)
-        if op == "/":
-            return _finite(a / b)  # a zero divisor gives an infinity or NaN
-        if op == "^":
-            return _pointwise(_pow_or_nan, a, b)
-        # Python's min and max keep a on ties; a NaN in either side propagates
-        if op == "min":
-            return np.where((b < a) | np.isnan(b), b, a)
-        if op == "max":
-            return np.where((b > a) | np.isnan(b), b, a)
-        raise AssertionError(f"unhandled binary op {op!r}")
-    if isinstance(node, Branch):
-        a, b, low, high = args
-        # a NaN in a or b propagates; a NaN on the side not taken does not
-        undefined = np.isnan(a) | np.isnan(b)
-        return np.where(undefined, math.nan, np.where(a <= b, low, high))
-    raise TypeError(f"not an expression node: {node!r}")
+# The array kernel of each operator, NaN marking undefined points.  ln and ^
+# go point by point through math.log and **, because numpy's log and power
+# do not round like libm's.
+_KERNELS: dict[str, Callable[..., np.ndarray]] = {
+    "neg": np.negative,
+    "sin": np.sin,
+    "cos": np.cos,
+    "abs": np.abs,
+    "sqrt": np.sqrt,  # NaN below zero
+    "ln": lambda v: _pointwise(_log_or_nan, v),
+    "+": lambda a, b: _finite(a + b),
+    "-": lambda a, b: _finite(a - b),
+    "*": lambda a, b: _finite(a * b),
+    "/": lambda a, b: _finite(a / b),  # a zero divisor gives an infinity or NaN
+    "^": lambda a, b: _pointwise(_pow_or_nan, a, b),
+    # Python's min and max keep a on ties; a NaN in either side propagates
+    "min": lambda a, b: np.where((b < a) | np.isnan(b), b, a),
+    "max": lambda a, b: np.where((b > a) | np.isnan(b), b, a),
+    # a NaN in a or b propagates; a NaN on the side not taken does not
+    "ifle": lambda a, b, low, high: np.where(
+        np.isnan(a) | np.isnan(b), math.nan, np.where(a <= b, low, high)
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +675,7 @@ def _div(a: Expression, b: Expression) -> Expression:
     if _is_num(b, 1.0):
         return a
     if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
-        folded = a.value / b.value
-        if math.isfinite(folded):
-            return Num(folded)
+        return _fold(a, b, "/", a.value / b.value)
     return Binary("/", a, b)
 
 

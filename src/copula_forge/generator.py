@@ -36,11 +36,12 @@ from typing import Callable
 import numpy as np
 
 from .exprlang import (
+    _KERNELS,
     EvaluationDomainError,
     Expression,
+    compile_array,
     differentiate,
     evaluate,
-    evaluate_array,
     parse,
     to_source,
 )
@@ -137,11 +138,10 @@ def _form(on_float: Callable, on_array: Callable, ndarray=np.ndarray) -> Form:
 # Each builtin writes phi, phi' and phi'' once, over a kit of operations, and
 # reads them with two kits.  The float kit is math, Python's min and max and
 # **.  The array kit keeps every bit of it: + - * /, sin and cos are numpy
-# ufuncs, min and max copy Python's tie rule (the first argument unless the
-# second is strictly smaller or larger), and every ** is Python's, point by
-# point, because numpy's power does not round like it.  `on(mask, x, fn,
-# rest)` is fn(x) where mask holds and rest elsewhere; fn sees only the
-# points in the mask.
+# ufuncs, min and max are exprlang's kernels, which keep Python's tie rule,
+# and every ** is Python's, point by point, because numpy's power does not
+# round like it.  `on(mask, x, fn, rest)` is fn(x) where mask holds and rest
+# elsewhere; fn sees only the points in the mask.
 
 
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -168,8 +168,8 @@ _FLOATS = SimpleNamespace(
 _ARRAYS = SimpleNamespace(
     sin=np.sin,
     cos=np.cos,
-    min=lambda a, b: np.where(b < a, b, a),
-    max=lambda a, b: np.where(b > a, b, a),
+    min=_KERNELS["min"],
+    max=_KERNELS["max"],
     pow=_pow,
     where=np.where,
     full=lambda xs, value: np.full(np.shape(xs), value),
@@ -355,7 +355,8 @@ def from_expression(expr: Expression | str) -> Generator:
     raised immediately (the function cannot be a generator if it is not even
     defined on [0, 1]).  First and second derivatives are symbolic.  Each
     form walks its tree for a float (`evaluate`, which names the failing
-    node) and evaluates it once per node for an array (`evaluate_array`).
+    node) and runs its `compile_array` steps for an array, planned at the
+    form's first array call, so a form never called with an array costs none.
     """
     if isinstance(expr, str):
         tree = parse(expr)
@@ -367,13 +368,9 @@ def from_expression(expr: Expression | str) -> Generator:
     d2 = differentiate(d1)
     for probe in (0.0, 0.5, 1.0):
         evaluate(tree, probe)  # propagate EvaluationDomainError
-    phi, phi_prime, phi_second = (
-        _form(partial(evaluate, t), partial(evaluate_array, t)) for t in (tree, d1, d2)
-    )
+    forms = (_form(partial(evaluate, t), compile_array(t)) for t in (tree, d1, d2))
     return Generator(
-        phi=phi,
-        phi_prime=phi_prime,
-        phi_second=phi_second,
+        **dict(zip(("phi", "phi_prime", "phi_second"), forms)),
         label=f"expr:{source}",
         source=source,
     )
