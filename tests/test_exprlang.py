@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,16 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copula_forge import exprlang
 from copula_forge.exprlang import (
     MAX_DEPTH,
     Binary,
     Branch,
     EvaluationDomainError,
+    Expression,
     ExpressionSyntaxError,
     Num,
     Unary,
     UnknownIdentifierError,
     Var,
+    compile_array,
     differentiate,
     evaluate,
     evaluate_array,
@@ -29,6 +33,7 @@ from copula_forge.exprlang import (
 from copula_forge.generator import from_expression
 
 from conftest import random_valid_expression_generators
+from test_golden import EDGE_EXPRESSIONS, OPERATOR_EXPRESSIONS
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +473,70 @@ def test_evaluate_array_memory_does_not_grow_with_nodes_times_points():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_array_forms_plan_once_at_their_first_array_call(monkeypatch):
+    plans = []
+    postorder = exprlang._postorder
+    monkeypatch.setattr(exprlang, "_postorder", lambda e: plans.append(e) or postorder(e))
+    gen = from_expression("x*(1-x)*(0.5+0.3*sin(pi*x))*0.9")
+    assert plans == []  # building the generator plans none of its three forms
+    gen.phi_second(0.25)
+    assert plans == []  # nor does a float call
+    xs = np.linspace(0.0, 1.0, 16)
+    first = gen.phi_second(xs)
+    for _ in range(2):
+        assert_same_bits(gen.phi_second(xs), first)
+    assert len(plans) == 1
+
+
+def _distinct_nodes(expr) -> int:
+    """Nodes of expr, each counted once however many parents share it."""
+    seen: set[int] = set()
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            fields = (getattr(node, f.name) for f in dataclasses.fields(node))
+            todo.extend(v for v in fields if isinstance(v, Expression))
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "source, nodes",
+    [("x" + "/(x+1)" * (MAX_DEPTH - 2), 1229), ("x" + "^x" * (MAX_DEPTH - 1), 1444)],
+    ids=["quotient", "power"],
+)
+def test_array_plan_has_one_step_per_distinct_node(monkeypatch, source, nodes):
+    # differentiate shares subtrees: the tree of phi'' is far larger
+    d2 = differentiate(differentiate(parse(source)))
+    steps = []
+    plan = exprlang._plan
+    monkeypatch.setattr(exprlang, "_plan", lambda e: steps.extend(plan(e)) or steps)
+    compile_array(d2)(np.array([0.3]))
+    assert _distinct_nodes(d2) == nodes
+    assert len(steps) == nodes
+
+
+def test_second_derivative_arrays_match_evaluate_on_the_validated_expressions():
+    # phi'' of every expression the validate digests pin: the array form that
+    # from_expression binds, against its float form, NaN where it raises
+    xs = np.concatenate(
+        [np.arange(0, 4097, 16) / 4096.0, np.random.default_rng(16).uniform(0.0, 1.0, 100)]
+    )
+    gens = random_valid_expression_generators(100) + [
+        from_expression(text) for text in OPERATOR_EXPRESSIONS + EDGE_EXPRESSIONS
+    ]
+    assert len(gens) == 113
+    for gen in gens:
+        want = []
+        for x in xs.tolist():
+            try:
+                want.append(gen.phi_second(x))
+            except EvaluationDomainError:
+                want.append(math.nan)
+        assert_same_bits(gen.phi_second(xs), np.array(want))
 
 
 def _abs_tower_slope(levels: int):
