@@ -12,8 +12,8 @@ renderer per command turns that payload alone into its table or CSV text.
 text, to stdout or to ``--out``.
 
 Exit codes: 0 on success, 1 when a generator fails validation (or cannot
-be evaluated on [0,1]), 2 on argument errors, an ``--out`` path that cannot
-be written included.  With ``--format json`` errors are emitted as a JSON
+be evaluated on [0,1]) or a numerical step fails (kind ``numerics``), 2 on
+argument errors, an ``--out`` path that cannot be written included.  With ``--format json`` errors are emitted as a JSON
 object on stderr.  Human tables print floats with 6 decimals; CSV and JSON
 carry full precision.
 
@@ -552,6 +552,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EvaluationDomainError as err:
         # an expression undefined at a point some later scan probes
         failure = _CliError(1, "domain", str(err))
+    except ArithmeticError as err:
+        # a float overflow or zero division, or a quadrature or bisection
+        # that gave out: the generator is defined, but this run cannot be done
+        failure = _CliError(1, "numerics", f"{type(err).__name__}: {err}")
     _emit_error(args.format, failure)
     return failure.code
 

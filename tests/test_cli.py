@@ -455,6 +455,43 @@ def test_sizes_above_their_cap_are_argument_errors(capsys, argv, flag, cap, valu
     }
 
 
+_NUMERICS_FAILURES = (
+    (["check", "--phi", "phi6", "--n", "514", "--theta", "0.5"], "OverflowError", "table"),
+    (["validate", "--phi", "phi6", "--n", "1000000"], "OverflowError", "table"),
+    (["validate", "--phi", "phi6", "--n", "100000000"], "ZeroDivisionError", "table"),
+    (["sample", "--phi", "phi6", "--gen-n", "1200", "--theta", "0.5", "--n", "50"],
+     "ZeroDivisionError", "csv"),
+    (["measures", "--phi", "phi6", "--n", "1500", "--theta", "0.5"], "QuadratureError", "table"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, error, text_format",
+    _NUMERICS_FAILURES,
+    ids=[" ".join(a[:5]) for a, _, _ in _NUMERICS_FAILURES],
+)
+def test_arithmetic_failures_exit_1_with_kind_numerics(capsys, argv, error, text_format):
+    # phi6 at a large order overflows or divides by zero in its power sums,
+    # or stalls the closed-form quadrature
+    code, out, err = run_main(capsys, [*argv, "--format", text_format])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+    code, out, err = run_main(capsys, [*argv, "--format", "json"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["kind"] == "numerics"
+    assert payload["message"].startswith(f"{error}: ")
+
+
+def test_phi6_order_has_no_cap(capsys):
+    # converge runs phi6 up to n = 1000; the orders that fail elsewhere are
+    # reported as numerics errors, not refused
+    code, out, _ = run_main(
+        capsys, ["converge", "--theta", "0.5", "--n-max", "1000", "--resolution", "16"]
+    )
+    assert code == 0 and out
+
+
 def test_sample_missing_n_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--phi", "phi2", "--theta", "0.5"])
