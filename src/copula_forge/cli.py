@@ -13,9 +13,9 @@ text, to stdout or to ``--out``.
 
 Exit codes: 0 on success, 1 when a generator fails validation (or cannot
 be evaluated on [0,1]) or a numerical step fails (kind ``numerics``), 2 on
-argument errors, an ``--out`` path that cannot be written included.  With ``--format json`` errors are emitted as a JSON
-object on stderr.  Human tables print floats with 6 decimals; CSV and JSON
-carry full precision.
+argument errors, an ``--out`` path that cannot be written included.  With
+``--format json`` errors are emitted as a JSON object on stderr.  Human
+tables print floats with 6 decimals; CSV and JSON carry full precision.
 
 The generator parameter for phi5/phi6 is ``--n`` everywhere except
 ``sample``, where ``--n`` is the draw count and the generator parameter is

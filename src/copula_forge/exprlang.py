@@ -493,14 +493,14 @@ def compile_array(expr: Expression) -> Callable[..., np.ndarray]:
     """The array form of expr: it plans its steps (``_plan``) at its first call
     and then only runs them.  ``compile_array(expr)(xs)`` is evaluate_array.
     """
-    steps: list[tuple] = []  # planned at the first call
+    steps: list[tuple] = []  # planned at the first call, in one assignment
 
     def form(xs) -> np.ndarray:
         points = np.asarray(xs, dtype=float)
         if not np.isfinite(points).all():
             raise ValueError("x must be finite")
         if not steps:
-            steps.extend(_plan(expr))
+            steps[:] = _plan(expr)
         flat = points.ravel()
         out = np.empty(flat.size)
         with np.errstate(all="ignore"):
