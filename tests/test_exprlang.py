@@ -227,6 +227,32 @@ def test_negative_base_integer_exponent_ok():
     assert evaluate(parse("(0-2)^x"), 3.0) == -8.0
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("sqrt(x-1)", "sqrt of a negative value in 'sqrt(x-1.0)' at x=0.5"),
+        ("ln(x-x)", "log of a non-positive value in 'ln(x-x)' at x=0.5"),
+        ("x/(x-x)", "division by zero in 'x/(x-x)' at x=0.5"),
+        ("(x-x)^(0-1)", "zero raised to a negative power in '(x-x)^(0.0-1.0)' at x=0.5"),
+        ("(0-2)^x", "negative base with a non-integer exponent in '(0.0-2.0)^x' at x=0.5"),
+        ("x*1e308*10", "result is not finite in 'x*1e+308*10.0' at x=0.5"),
+        ("(x+1)^1e300", "overflow in '(x+1.0)^1e+300' at x=0.5"),
+    ],
+)
+def test_each_domain_reason_has_its_message_node_and_array_nan(source, message):
+    tree = parse(source)
+    with pytest.raises(EvaluationDomainError) as err:
+        evaluate(tree, 0.5)
+    assert str(err.value) == message
+    assert err.value.node is tree  # the root is the node that fails
+    assert np.isnan(compile_array(tree)(np.array([0.5]))).all()
+
+
+def test_hand_built_integer_leaves_keep_integer_arithmetic():
+    # parse makes float leaves only; a tree built by hand may hold ints
+    assert repr(evaluate(Binary("+", Num(1), Num(2)), 0.5)) == "3"
+
+
 # ---------------------------------------------------------------------------
 # Derivatives
 
