@@ -407,54 +407,20 @@ def _eval(node: Expression, x: float) -> float:
     if isinstance(node, Var):
         return x
     if isinstance(node, Unary):
-        v = _eval(node.arg, x)
-        op = node.op
-        if op == "neg":
-            return -v
-        if op == "sin":
-            return math.sin(v)
-        if op == "cos":
-            return math.cos(v)
-        if op == "abs":
-            return abs(v)
-        if op == "sqrt":
-            if v < 0.0:
-                raise EvaluationDomainError("sqrt of a negative value", node, x)
-            return math.sqrt(v)
-        if op == "ln":
-            if v <= 0.0:
-                raise EvaluationDomainError("log of a non-positive value", node, x)
-            return math.log(v)
-        raise AssertionError(f"unhandled unary op {op!r}")
-    if isinstance(node, Binary):
-        a = _eval(node.lhs, x)
-        b = _eval(node.rhs, x)
-        op = node.op
-        if op == "+":
-            return _require_finite(a + b, node, x)
-        if op == "-":
-            return _require_finite(a - b, node, x)
-        if op == "*":
-            return _require_finite(a * b, node, x)
-        if op == "/":
-            if b == 0.0:
-                raise EvaluationDomainError("division by zero", node, x)
-            return _require_finite(a / b, node, x)
-        if op == "^":
-            value = _pow_or_reason(a, b)
-            if isinstance(value, str):
-                raise EvaluationDomainError(value, node, x)
-            return value
-        if op == "min":
-            return min(a, b)
-        if op == "max":
-            return max(a, b)
-        raise AssertionError(f"unhandled binary op {op!r}")
-    if isinstance(node, Branch):
+        value = _RULES[node.op](_eval(node.arg, x))
+    elif isinstance(node, Binary):
+        value = _RULES[node.op](_eval(node.lhs, x), _eval(node.rhs, x))
+    elif isinstance(node, Branch):
         if _eval(node.a, x) <= _eval(node.b, x):
             return _eval(node.low, x)
         return _eval(node.high, x)
-    raise TypeError(f"not an expression node: {node!r}")
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    if value.__class__ is float and value - value == 0.0:  # finite: the common case
+        return value
+    if isinstance(value, str):
+        raise EvaluationDomainError(value, node, x)
+    return _require_finite(value, node, x)
 
 
 def _pow_or_reason(a: float, b: float) -> float | str:
@@ -470,6 +436,28 @@ def _pow_or_reason(a: float, b: float) -> float | str:
     if not math.isfinite(value):
         return "result is not finite"
     return value
+
+
+# The float rule of each operator: finite arguments to a value, or to the
+# reason there is none.  An arithmetic rule may return an infinity, which
+# _eval reports as "result is not finite".  _eval reads every row, and the
+# array kernels of ln and ^ read theirs point by point, NaN for a reason; the
+# other array kernels are numpy ufuncs that give the same bits.
+_RULES: dict[str, Callable[..., float | str]] = {
+    "neg": lambda v: -v,
+    "sin": math.sin,
+    "cos": math.cos,
+    "abs": abs,
+    "sqrt": lambda v: "sqrt of a negative value" if v < 0.0 else math.sqrt(v),
+    "ln": lambda v: "log of a non-positive value" if v <= 0.0 else math.log(v),
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: "division by zero" if b == 0.0 else a / b,
+    "^": _pow_or_reason,
+    "min": min,
+    "max": max,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -572,25 +560,18 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _log_or_nan(v: float) -> float:
-    return math.log(v) if v > 0.0 else math.nan
-
-
-def _pow_or_nan(a: float, b: float) -> float:
-    value = _pow_or_reason(a, b)
-    return math.nan if isinstance(value, str) else value
-
-
-def _pointwise(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
-    """fn at every point where no argument is NaN; NaN elsewhere."""
+def _pointwise(rule: Callable[..., float | str], *args: np.ndarray) -> np.ndarray:
+    """rule at every point where no argument is NaN; NaN elsewhere and where
+    the rule gives a reason."""
     live = ~np.logical_or.reduce([np.isnan(a) for a in args])
     out = np.full(args[0].shape, math.nan)
-    out[live] = [fn(*p) for p in zip(*(a[live].tolist() for a in args))]
+    values = map(rule, *(a[live].tolist() for a in args))
+    out[live] = [math.nan if isinstance(v, str) else v for v in values]
     return out
 
 
 # The array kernel of each operator, NaN marking undefined points.  ln and ^
-# go point by point through math.log and **, because numpy's log and power
+# go point by point through their float rules, because numpy's log and power
 # do not round like libm's.
 _KERNELS: dict[str, Callable[..., np.ndarray]] = {
     "neg": np.negative,
@@ -598,12 +579,12 @@ _KERNELS: dict[str, Callable[..., np.ndarray]] = {
     "cos": np.cos,
     "abs": np.abs,
     "sqrt": np.sqrt,  # NaN below zero
-    "ln": lambda v: _pointwise(_log_or_nan, v),
+    "ln": lambda v: _pointwise(_RULES["ln"], v),
     "+": lambda a, b: _finite(a + b),
     "-": lambda a, b: _finite(a - b),
     "*": lambda a, b: _finite(a * b),
     "/": lambda a, b: _finite(a / b),  # a zero divisor gives an infinity or NaN
-    "^": lambda a, b: _pointwise(_pow_or_nan, a, b),
+    "^": lambda a, b: _pointwise(_RULES["^"], a, b),
     # Python's min and max keep a on ties; a NaN in either side propagates
     "min": lambda a, b: np.where((b < a) | np.isnan(b), b, a),
     "max": lambda a, b: np.where((b > a) | np.isnan(b), b, a),
