@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -169,22 +170,50 @@ def test_depth_cap_accepts_the_seeded_generators():
         assert parse(gen.source) is not None
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
+# the deepest chain of each kind, with the length and SHA-256 of the source
+# text of its second derivative
+CAP_CHAINS = {
+    "product": (
         "x" + "*x" * (MAX_DEPTH - 1),
+        182_529,
+        "fd659da8bf6b3585be7506873b8a16f6bbb4855cedcd387e83d7cc767b50f0fe",
+    ),
+    "power": (
         "x" + "^x" * (MAX_DEPTH - 1),
+        783_793,
+        "76c6f20448b56108fce18ae1a0820db760e85cfa0347a5db6c32c88c3fcd5066",
+    ),
+    "quotient": (
         "x" + "/(x+1)" * (MAX_DEPTH - 2),
+        1_098_430,
+        "4a488affab488225cb842f7685f45a78db050e50ab32fe497490da42f39ef30a",
+    ),
+    "sine": (
         "sin(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        452_729,
+        "ce68de320a0d60b18b55380555db3000567fd3ea67c5acf857d014e0e622ca42",
+    ),
+    "sqrt": (
         "sqrt(" * (MAX_DEPTH - 2) + "x+1" + ")" * (MAX_DEPTH - 2),
+        572_856,
+        "6f947c77224b3b6d7c0cb1b59fab89aef7763e8d3d62ca1220a73a5ecf2d0b2d",
+    ),
+    "min": (
         "min(x," * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
-    ],
-    ids=["product", "power", "quotient", "sine", "sqrt", "min"],
-)
-def test_second_derivative_at_the_cap_evaluates_and_prints(source):
+        14_556,
+        "a5ad284a484da15b5cb9963ebc5c6e88e8314c90cd63cd574355e056ce396933",
+    ),
+}
+
+
+@pytest.mark.parametrize("chain", list(CAP_CHAINS))
+def test_second_derivative_at_the_cap_evaluates_and_prints(chain):
+    source, length, digest = CAP_CHAINS[chain]
     d2 = differentiate(differentiate(parse(source)))
     assert math.isfinite(evaluate(d2, 0.3))
-    assert to_source(d2)
+    text = to_source(d2)
+    assert len(text) == length
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_nested_abs_differentiates_in_linear_time():
@@ -400,6 +429,72 @@ def test_round_trip_random_trees(tree, k):
             evaluate(again, x)
         return
     assert evaluate(again, x) == want  # bitwise equal
+
+
+def _recursive_pieces(node: Expression, min_prec: int = 0):
+    """The printer as one recursive generator, one frame per level: the
+    reference that exprlang._pieces must match piece for piece."""
+    wrap = exprlang._precedence(node) < min_prec
+    if wrap:
+        yield "("
+    if isinstance(node, Num):
+        yield repr(node.value)
+    elif isinstance(node, Var):
+        yield "x"
+    elif isinstance(node, Unary) and node.op == "neg":
+        yield "-"
+        yield from _recursive_pieces(node.arg, exprlang._PREC_NEG)
+    elif isinstance(node, Binary) and node.op in exprlang._BINARY_PREC:
+        prec = exprlang._BINARY_PREC[node.op]
+        pow_prec, add_prec = exprlang._PREC_POW, exprlang._PREC_ADD
+        yield from _recursive_pieces(node.lhs, exprlang._PREC_ATOM if prec == pow_prec else prec)
+        yield node.op
+        yield from _recursive_pieces(
+            node.rhs, exprlang._PREC_MUL if prec == add_prec else exprlang._PREC_NEG
+        )
+    elif isinstance(node, (Unary, Binary, Branch)):
+        yield "ifle(" if isinstance(node, Branch) else f"{node.op}("
+        for i, part in enumerate(exprlang._children(node)):
+            if i:
+                yield ","
+            yield from _recursive_pieces(part)
+        yield ")"
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    if wrap:
+        yield ")"
+
+
+def _assert_prints_like_the_reference(tree) -> None:
+    assert list(exprlang._pieces(tree)) == list(_recursive_pieces(tree))
+
+
+def test_printer_matches_the_recursive_reference_on_the_validated_expressions():
+    gens = random_valid_expression_generators(100) + [
+        from_expression(text) for text in OPERATOR_EXPRESSIONS + EDGE_EXPRESSIONS
+    ]
+    assert len(gens) == 113
+    for gen in gens:
+        tree = parse(gen.source)
+        d1 = differentiate(tree)
+        for t in (tree, d1, differentiate(d1)):
+            _assert_prints_like_the_reference(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_trees)
+def test_printer_matches_the_recursive_reference_on_random_trees(tree):
+    _assert_prints_like_the_reference(tree)
+    _assert_prints_like_the_reference(differentiate(tree))
+
+
+@pytest.mark.parametrize("chain", list(CAP_CHAINS))
+def test_printer_matches_the_recursive_reference_on_the_cap_chains(chain):
+    # their second derivatives are pinned by digest above: printing them
+    # recursively would take seconds
+    tree = parse(CAP_CHAINS[chain][0])
+    _assert_prints_like_the_reference(tree)
+    _assert_prints_like_the_reference(differentiate(tree))
 
 
 # ---------------------------------------------------------------------------
