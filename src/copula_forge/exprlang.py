@@ -14,11 +14,11 @@ Grammar (user-facing), in one variable ``x``:
 Numbers are decimal literals with optional fraction and exponent.  Error
 offsets are 1-based character (not byte) positions into the source string.
 Trees deeper than MAX_DEPTH, and nesting of parentheses, calls, signs and
-exponents deeper than MAX_DEPTH, are syntax errors: float evaluation,
-differentiation and printing recurse once per level, and the cap keeps their
-second derivatives inside Python's default recursion limit.  Array forms
-(``compile_array``) recurse nowhere: each plans its tree once, at its first
-call, as one step per distinct node.
+exponents deeper than MAX_DEPTH, are syntax errors: float evaluation and
+differentiation recurse once per level, and the cap keeps their second
+derivatives inside Python's default recursion limit.  Printing keeps one
+explicit stack, and each array form (``compile_array``) plans its tree once,
+at its first call, as one step per distinct node; neither recurses.
 
 Derivatives are symbolic.  min, max and abs differentiate piecewise with the
 LEFT branch chosen on the tie set, carried by an internal selector node that
@@ -777,35 +777,38 @@ def _pieces(node: Expression, min_prec: int = 0):
     """Source text of node, piece by piece, parenthesized below min_prec.
 
     Lazy, so a prefix of the text costs only its own length: a derivative
-    that shares subtrees can print exponentially longer than it is big.
+    that shares subtrees can print exponentially longer than it is big.  The
+    pieces and (node, min_prec) pairs left to print wait on one stack, so a
+    piece costs the same at any depth.
     """
-    wrap = _precedence(node) < min_prec
-    if wrap:
-        yield "("
-    if isinstance(node, Num):
-        yield repr(node.value)
-    elif isinstance(node, Var):
-        yield "x"
-    elif isinstance(node, Unary) and node.op == "neg":
-        yield "-"
-        yield from _pieces(node.arg, _PREC_NEG)
-    elif isinstance(node, Binary) and node.op in _BINARY_PREC:
-        prec = _BINARY_PREC[node.op]
-        # ^ is right-associative; the other operators are left-associative
-        yield from _pieces(node.lhs, _PREC_ATOM if prec == _PREC_POW else prec)
-        yield node.op
-        yield from _pieces(node.rhs, _PREC_MUL if prec == _PREC_ADD else _PREC_NEG)
-    elif isinstance(node, (Unary, Binary, Branch)):  # sin(a), min(a,b), ifle(a,b,p,q)
-        yield "ifle(" if isinstance(node, Branch) else f"{node.op}("
-        for i, part in enumerate(_children(node)):
-            if i:
-                yield ","
-            yield from _pieces(part)
-        yield ")"
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    if wrap:
-        yield ")"
+    todo: list = [(node, min_prec)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            yield item
+            continue
+        node, min_prec = item
+        if isinstance(node, Num):
+            parts = [repr(node.value)]
+        elif isinstance(node, Var):
+            parts = ["x"]
+        elif isinstance(node, Unary) and node.op == "neg":
+            parts = ["-", (node.arg, _PREC_NEG)]
+        elif isinstance(node, Binary) and node.op in _BINARY_PREC:
+            prec = _BINARY_PREC[node.op]
+            # ^ is right-associative; the other operators are left-associative
+            lhs = (node.lhs, _PREC_ATOM if prec == _PREC_POW else prec)
+            parts = [lhs, node.op, (node.rhs, _PREC_MUL if prec == _PREC_ADD else _PREC_NEG)]
+        elif isinstance(node, (Unary, Binary, Branch)):  # sin(a), min(a,b), ifle(a,b,p,q)
+            parts = ["ifle(" if isinstance(node, Branch) else f"{node.op}("]
+            for part in _children(node):
+                parts += [(part, 0), ","]
+            parts[-1] = ")"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        if _precedence(node) < min_prec:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
 
 
 def _clipped_source(node: Expression) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -495,6 +496,26 @@ def test_printer_matches_the_recursive_reference_on_the_cap_chains(chain):
     tree = parse(CAP_CHAINS[chain][0])
     _assert_prints_like_the_reference(tree)
     _assert_prints_like_the_reference(differentiate(tree))
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_printing_needs_no_frame_per_level():
+    # the quotient chain's phi'' prints 1.1 MB from a tree 372 levels deep;
+    # a recursive printer needs a frame per level of it
+    d2 = differentiate(differentiate(parse(CAP_CHAINS["quotient"][0])))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        text = to_source(d2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(text) == CAP_CHAINS["quotient"][1]
 
 
 # ---------------------------------------------------------------------------
