@@ -614,10 +614,15 @@ def _neg(a: Expression) -> Expression:
     return Unary("neg", a)
 
 
-def _fold(a: Expression, b: Expression, op: str, value: float) -> Expression:
-    if math.isfinite(value):
-        return Num(value)
-    return Binary(op, a, b)
+def _folded(node: Unary | Binary) -> Expression:
+    """node, or the number it evaluates to where its operands are numbers and
+    its float rule gives a finite value."""
+    operands = _children(node)
+    if all(isinstance(c, Num) for c in operands):
+        value = _RULES[node.op](*(c.value for c in operands))
+        if not isinstance(value, str) and math.isfinite(value):
+            return Num(value)
+    return node
 
 
 def _add(a: Expression, b: Expression) -> Expression:
@@ -625,9 +630,7 @@ def _add(a: Expression, b: Expression) -> Expression:
         return b
     if _is_num(b, 0.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _fold(a, b, "+", a.value + b.value)
-    return Binary("+", a, b)
+    return _folded(Binary("+", a, b))
 
 
 def _sub(a: Expression, b: Expression) -> Expression:
@@ -635,9 +638,7 @@ def _sub(a: Expression, b: Expression) -> Expression:
         return a
     if _is_num(a, 0.0):
         return _neg(b)
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _fold(a, b, "-", a.value - b.value)
-    return Binary("-", a, b)
+    return _folded(Binary("-", a, b))
 
 
 def _mul(a: Expression, b: Expression) -> Expression:
@@ -647,17 +648,13 @@ def _mul(a: Expression, b: Expression) -> Expression:
         return b
     if _is_num(b, 1.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _fold(a, b, "*", a.value * b.value)
-    return Binary("*", a, b)
+    return _folded(Binary("*", a, b))
 
 
 def _div(a: Expression, b: Expression) -> Expression:
     if _is_num(b, 1.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
-        return _fold(a, b, "/", a.value / b.value)
-    return Binary("/", a, b)
+    return _folded(Binary("/", a, b))
 
 
 def _pow(a: Expression, b: Expression) -> Expression:
@@ -666,12 +663,6 @@ def _pow(a: Expression, b: Expression) -> Expression:
     if _is_num(b, 0.0):
         return _ONE
     return Binary("^", a, b)
-
-
-def _ln(a: Expression) -> Expression:
-    if isinstance(a, Num) and a.value > 0.0:
-        return Num(math.log(a.value))
-    return Unary("ln", a)
 
 
 def differentiate(expr: Expression) -> Expression:
@@ -737,9 +728,9 @@ def _derive(expr: Expression, d: Callable[[Expression], Expression]) -> Expressi
                 c = b.value
                 return _mul(_mul(b, _pow(a, Num(c - 1.0))), da)
             if isinstance(a, Num):
-                return _mul(_mul(expr, _ln(a)), db)
+                return _mul(_mul(expr, _folded(Unary("ln", a))), db)
             # general power rule: a^b * (db*ln(a) + b*da/a)
-            return _mul(expr, _add(_mul(db, _ln(a)), _div(_mul(b, da), a)))
+            return _mul(expr, _add(_mul(db, _folded(Unary("ln", a))), _div(_mul(b, da), a)))
         if op == "min":
             return Branch(a, b, da, db)
         if op == "max":
