@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from copula_forge.cli import MAX_DRAWS, MAX_GRID, MAX_N_MAX, MAX_RESOLUTION, main
 from copula_forge.copula import Copula
@@ -496,6 +500,117 @@ def test_sample_missing_n_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--phi", "phi2", "--theta", "0.5"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# grammar fuzz: every argv ends in exit 0, 1 or 2 with a message
+
+# valid generators, then invalid, undefined and malformed ones
+_FUZZ_EXPRESSIONS = (
+    ("x*(1-x)", "x*(1-x)*ln(1+x)", "0.9*min(x,1-x)", "x*(1-x)*2^x/4"),
+    (
+        "0.7*sin(pi*x)",  # invalid generators
+        "1.5*x*(1-x)",
+        "x*(1-x)/(x-0.5)",  # undefined at a probed point
+        "x*(1-x)*sqrt(x)",  # phi' undefined at x = 0
+        "x*(1-x)*0.1/(x-0.25)*(x-0.25)",  # phi undefined at 0.25
+        "x+",  # malformed
+        "min(x, 1-x",
+        "tan(x)",
+        "\u00b2",
+        "1e999*x",
+        "(" * 200 + "x" + ")" * 200,
+    ),
+)
+# valid and invalid values of each option, None leaving the option out.  A
+# size lies well below its cap or above it, never near it.
+_FUZZ_OPTIONS = {
+    "--theta": (("0.5", "-1", "1", "0", "-0.3"), (None, "2", "nan", "inf", "-inf")),
+    "--tol": ((None, "1e-4", "1e-12"), ("nan", "inf", "0", "1e-3")),
+    "--grid": ((None, "3", "65", "1001"), ("0", str(10**7), str(10**20))),
+    "--resolution": ((None, "16", "64"), ("8", str(10**5), str(10**20))),
+    "--method": ((None, "closed", "quad", "both"), ()),
+    "--n-max": ((None, "1", "3"), ("0", str(10**4), str(10**20))),
+    "--n": (("1", "40", "500"), ("0", str(10**7))),
+    "--seed": ((None, "0", str(2**64 - 1)), (str(2**64), "-1")),
+}
+_ORDERS = {"phi5": ("1", "2", "3", "7"), "phi6": ("2", "3", "7")}
+
+
+@st.composite
+def _fuzz_argv(draw, out_dir) -> list[str]:
+    """An argv of one of the six commands.  An expression is valid at odds 4
+    in 15, every other value at odds 5 in 6."""
+    command = draw(st.sampled_from(["validate", "measures", "table1", "sample", "check", "converge"]))
+    argv = [command]
+
+    def pool(valid, invalid):
+        return invalid if invalid and draw(st.integers(0, 5)) == 5 else valid
+
+    def option(flag, values=None):
+        value = draw(st.sampled_from(values or pool(*_FUZZ_OPTIONS[flag])))
+        if value is not None:
+            argv.append(f"{flag}={value}")  # '=' keeps '-inf' a value
+
+    if command in ("validate", "measures", "sample", "check"):
+        if draw(st.booleans()):
+            name = draw(st.sampled_from([f"phi{k}" for k in range(1, 7)]))
+            argv += ["--phi", name]
+            orders = pool(_ORDERS.get(name, (None,)), ("-1", "0", "1", "2", None))
+            option("--gen-n" if command == "sample" else "--n", orders)
+        else:
+            argv += ["--phi-expr", draw(st.sampled_from(sum(_FUZZ_EXPRESSIONS, ())))]
+    if command != "validate":
+        option("--theta")
+    for flag, commands in (
+        ("--grid", ("validate", "check")),
+        ("--tol", ("validate", "check")),
+        ("--resolution", ("measures", "check", "converge")),
+        ("--method", ("measures",)),
+        ("--n-max", ("converge",)),
+        ("--n", ("sample",)),
+        ("--seed", ("sample",)),
+    ):
+        if command in commands:
+            option(flag)
+    if command == "check" and draw(st.booleans()):
+        argv.append("--oracle")
+    if command == "sample":
+        option("--out", pool((None, str(out_dir / "s.out")), (str(out_dir / "no" / "s.out"),)))
+    option("--format", ("csv", "json") if command == "sample" else ("table", "json"))
+    return argv
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the argv
+            return exc.code, out.getvalue(), err.getvalue(), False
+    return code, out.getvalue(), err.getvalue(), True
+
+
+@settings(
+    max_examples=1000,
+    deadline=None,
+    derandomize=True,
+    # the one output file is removed before every run
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_grammar_fuzz_exits_0_1_or_2_without_a_traceback(tmp_path, data):
+    argv = data.draw(_fuzz_argv(tmp_path))
+    (tmp_path / "s.out").unlink(missing_ok=True)
+    code, out, err, parsed = _run_in_process(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if parsed and "--format=json" in argv:
+        written = tmp_path / "s.out"
+        documents = [out, err, written.read_text() if written.exists() else ""]
+        for text in documents:
+            if text:
+                json.loads(text)  # the default parser: strict JSON is still open
 
 
 # ---------------------------------------------------------------------------
