@@ -440,9 +440,10 @@ def _pow_or_reason(a: float, b: float) -> float | str:
 
 # The float rule of each operator: finite arguments to a value, or to the
 # reason there is none.  An arithmetic rule may return an infinity, which
-# _eval reports as "result is not finite".  _eval reads every row, and the
-# array kernels of ln and ^ read theirs point by point, NaN for a reason; the
-# other array kernels are numpy ufuncs that give the same bits.
+# _eval reports as "result is not finite".  _eval reads every row, and so
+# does the constant folding of differentiate; the array kernels of ln and ^
+# read theirs point by point, NaN for a reason, and the other array kernels
+# are numpy ufuncs that give the same bits.
 _RULES: dict[str, Callable[..., float | str]] = {
     "neg": lambda v: -v,
     "sin": math.sin,

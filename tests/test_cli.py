@@ -505,22 +505,22 @@ def test_sample_missing_n_is_usage_error(capsys):
 # ---------------------------------------------------------------------------
 # grammar fuzz: every argv ends in exit 0, 1 or 2 with a message
 
-# valid generators, then invalid, undefined and malformed ones
 _FUZZ_EXPRESSIONS = (
-    ("x*(1-x)", "x*(1-x)*ln(1+x)", "0.9*min(x,1-x)", "x*(1-x)*2^x/4"),
-    (
-        "0.7*sin(pi*x)",  # invalid generators
-        "1.5*x*(1-x)",
-        "x*(1-x)/(x-0.5)",  # undefined at a probed point
-        "x*(1-x)*sqrt(x)",  # phi' undefined at x = 0
-        "x*(1-x)*0.1/(x-0.25)*(x-0.25)",  # phi undefined at 0.25
-        "x+",  # malformed
-        "min(x, 1-x",
-        "tan(x)",
-        "\u00b2",
-        "1e999*x",
-        "(" * 200 + "x" + ")" * 200,
-    ),
+    "x*(1-x)",  # valid generators
+    "x*(1-x)*ln(1+x)",
+    "0.9*min(x,1-x)",
+    "x*(1-x)*2^x/4",
+    "0.7*sin(pi*x)",  # invalid generators
+    "1.5*x*(1-x)",
+    "x*(1-x)/(x-0.5)",  # undefined at a probed point
+    "x*(1-x)*sqrt(x)",  # phi' undefined at x = 0
+    "x*(1-x)*0.1/(x-0.25)*(x-0.25)",  # phi undefined at 0.25
+    "x+",  # malformed
+    "min(x, 1-x",
+    "tan(x)",
+    "\u00b2",
+    "1e999*x",
+    "(" * 200 + "x" + ")" * 200,
 )
 # valid and invalid values of each option, None leaving the option out.  A
 # size lies well below its cap or above it, never near it.
@@ -539,9 +539,11 @@ _ORDERS = {"phi5": ("1", "2", "3", "7"), "phi6": ("2", "3", "7")}
 
 @st.composite
 def _fuzz_argv(draw, out_dir) -> list[str]:
-    """An argv of one of the six commands.  An expression is valid at odds 4
-    in 15, every other value at odds 5 in 6."""
-    command = draw(st.sampled_from(["validate", "measures", "table1", "sample", "check", "converge"]))
+    """An argv of one of the six commands.  Each option is invalid about one
+    time in six; an expression is drawn from all of _FUZZ_EXPRESSIONS."""
+    command = draw(
+        st.sampled_from(["validate", "measures", "table1", "sample", "check", "converge"])
+    )
     argv = [command]
 
     def pool(valid, invalid):
@@ -559,7 +561,7 @@ def _fuzz_argv(draw, out_dir) -> list[str]:
             orders = pool(_ORDERS.get(name, (None,)), ("-1", "0", "1", "2", None))
             option("--gen-n" if command == "sample" else "--n", orders)
         else:
-            argv += ["--phi-expr", draw(st.sampled_from(sum(_FUZZ_EXPRESSIONS, ())))]
+            argv += ["--phi-expr", draw(st.sampled_from(_FUZZ_EXPRESSIONS))]
     if command != "validate":
         option("--theta")
     for flag, commands in (
