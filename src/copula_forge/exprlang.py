@@ -615,15 +615,14 @@ def _neg(a: Expression) -> Expression:
     return Unary("neg", a)
 
 
-def _folded(node: Unary | Binary) -> Expression:
-    """node, or the number it evaluates to where its operands are numbers and
-    its float rule gives a finite value."""
-    operands = _children(node)
-    if all(isinstance(c, Num) for c in operands):
-        value = _RULES[node.op](*(c.value for c in operands))
+def _folded(op: str, a: Expression, b: Expression) -> Expression:
+    """Binary(op, a, b), or the number it evaluates to where a and b are
+    numbers and the float rule of op gives a finite value."""
+    if isinstance(a, Num) and isinstance(b, Num):
+        value = _RULES[op](a.value, b.value)
         if not isinstance(value, str) and math.isfinite(value):
             return Num(value)
-    return node
+    return Binary(op, a, b)
 
 
 def _add(a: Expression, b: Expression) -> Expression:
@@ -631,7 +630,7 @@ def _add(a: Expression, b: Expression) -> Expression:
         return b
     if _is_num(b, 0.0):
         return a
-    return _folded(Binary("+", a, b))
+    return _folded("+", a, b)
 
 
 def _sub(a: Expression, b: Expression) -> Expression:
@@ -639,7 +638,7 @@ def _sub(a: Expression, b: Expression) -> Expression:
         return a
     if _is_num(a, 0.0):
         return _neg(b)
-    return _folded(Binary("-", a, b))
+    return _folded("-", a, b)
 
 
 def _mul(a: Expression, b: Expression) -> Expression:
@@ -649,13 +648,13 @@ def _mul(a: Expression, b: Expression) -> Expression:
         return b
     if _is_num(b, 1.0):
         return a
-    return _folded(Binary("*", a, b))
+    return _folded("*", a, b)
 
 
 def _div(a: Expression, b: Expression) -> Expression:
     if _is_num(b, 1.0):
         return a
-    return _folded(Binary("/", a, b))
+    return _folded("/", a, b)
 
 
 def _pow(a: Expression, b: Expression) -> Expression:
@@ -729,9 +728,11 @@ def _derive(expr: Expression, d: Callable[[Expression], Expression]) -> Expressi
                 c = b.value
                 return _mul(_mul(b, _pow(a, Num(c - 1.0))), da)
             if isinstance(a, Num):
-                return _mul(_mul(expr, _folded(Unary("ln", a))), db)
-            # general power rule: a^b * (db*ln(a) + b*da/a)
-            return _mul(expr, _add(_mul(db, _folded(Unary("ln", a))), _div(_mul(b, da), a)))
+                value = _RULES["ln"](a.value)  # ln(a) folds where it is defined
+                ln_a = Unary("ln", a) if isinstance(value, str) else Num(value)
+                return _mul(_mul(expr, ln_a), db)
+            # general power rule: a^b * (db*ln(a) + b*da/a), a not a number
+            return _mul(expr, _add(_mul(db, Unary("ln", a)), _div(_mul(b, da), a)))
         if op == "min":
             return Branch(a, b, da, db)
         if op == "max":
@@ -780,27 +781,31 @@ def _pieces(node: Expression, min_prec: int = 0):
             yield item
             continue
         node, min_prec = item
+        if _precedence(node) < min_prec:
+            yield "("
+            todo.append(")")
+        # each node yields its first piece and pushes the rest, last first
         if isinstance(node, Num):
-            parts = [repr(node.value)]
+            yield repr(node.value)
         elif isinstance(node, Var):
-            parts = ["x"]
+            yield "x"
         elif isinstance(node, Unary) and node.op == "neg":
-            parts = ["-", (node.arg, _PREC_NEG)]
+            yield "-"
+            todo.append((node.arg, _PREC_NEG))
         elif isinstance(node, Binary) and node.op in _BINARY_PREC:
             prec = _BINARY_PREC[node.op]
             # ^ is right-associative; the other operators are left-associative
-            lhs = (node.lhs, _PREC_ATOM if prec == _PREC_POW else prec)
-            parts = [lhs, node.op, (node.rhs, _PREC_MUL if prec == _PREC_ADD else _PREC_NEG)]
+            rhs = (node.rhs, _PREC_MUL if prec == _PREC_ADD else _PREC_NEG)
+            todo += [rhs, node.op, (node.lhs, _PREC_ATOM if prec == _PREC_POW else prec)]
         elif isinstance(node, (Unary, Binary, Branch)):  # sin(a), min(a,b), ifle(a,b,p,q)
-            parts = ["ifle(" if isinstance(node, Branch) else f"{node.op}("]
-            for part in _children(node):
-                parts += [(part, 0), ","]
-            parts[-1] = ")"
+            yield "ifle(" if isinstance(node, Branch) else f"{node.op}("
+            first, *rest = _children(node)
+            todo.append(")")
+            for part in reversed(rest):
+                todo += [(part, 0), ","]
+            todo.append((first, 0))
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        if _precedence(node) < min_prec:
-            parts = ["(", *parts, ")"]
-        todo.extend(reversed(parts))
 
 
 def _clipped_source(node: Expression) -> str:
