@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,13 @@ import pytest
 from copula_forge.copula import Copula, KinkPointError, SamplePairs, ThetaRangeError
 from copula_forge.exprlang import EvaluationDomainError
 from copula_forge.generator import GeneratorValidationError, builtin, from_expression
-from copula_forge.numerics import RandomStream, gauss_axis
+from copula_forge.numerics import (
+    MAX_HALVINGS,
+    QUANTILE_TOL,
+    ConvergenceError,
+    RandomStream,
+    gauss_axis,
+)
 
 from conftest import random_valid_expression_generators, with_hole
 
@@ -181,6 +188,104 @@ def test_conditional_quantile_rejects_bad_level():
         cop.conditional_quantile(0.3, 1.5)
 
 
+def _scalar_quantile(cop: Copula, u: float, w: float) -> float:
+    """The conditional quantile solved alone: endpoint guards, then halvings.
+
+    The reference for every quantile the package computes: the guards catch
+    the levels at or beyond the conditional cdf at 0 and 1, and each step
+    halves [lo, hi] until the residual or the width is at most QUANTILE_TOL.
+    """
+    f = lambda v: cop.conditional_cdf(u, v)
+    if w <= f(0.0):
+        return 0.0
+    if w >= f(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(MAX_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if abs(fmid - w) <= QUANTILE_TOL or (hi - lo) <= QUANTILE_TOL:
+            return mid
+        if fmid < w:
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceError(f"bisection did not converge in {MAX_HALVINGS} iterations")
+
+
+_QUANTILE_US = (0.0, 0.013, 0.3, 0.49, 0.62, 0.97, 1.0)
+_QUANTILE_WS = (0.0, 1e-9, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0)
+
+# SHA-256 of the hex of conditional_quantile over theta in (-1, 0.5, 1) and
+# the grid above, taken while it was solved by a scalar bisection of its own
+_QUANTILE_DIGESTS = {
+    "phi1": "ee722686856d3143b856edbb268e3b5903c6fdd057d3a6d0f1b7096a1f301556",
+    "phi2": "eaf58d2ced14a9455c3bd21121772c81cc702f502061f402beb096dc02238844",
+    "phi3": "345aeb12e456e93d684bf818e72c6621c0412602df9145d59fe913ab7a0655b5",
+    "phi4": "dcfba34fb23316b345e503c3963ef182d86521bfb8d160c805f35440f9f08a43",
+    "phi5[n=3]": "8bb07709945d03c75e3c3899c66e6e874aac74d2dd5e079e1fa51efbce65c59d",
+    "phi6[n=3]": "d9a3583dce5678771e3bef7b01728b4dac781cf1174b47a39e7e18c6f8c22146",
+    "expr:x*(1-x)*sin(pi*x)/2": "0c461edcbbf94d9eddd51cdf3aafb689ae52147d3919c0b1a02a76fc22d55e3c",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "gen",
+    [builtin(name) for name in ("phi1", "phi2", "phi3", "phi4")]
+    + [builtin("phi5", 3), builtin("phi6", 3), from_expression("x*(1-x)*sin(pi*x)/2")],
+    ids=lambda g: g.label,
+)
+def test_conditional_quantile_hex_is_pinned(gen):
+    lines = []
+    for theta in (-1.0, 0.5, 1.0):
+        cop = Copula(gen, theta)
+        for u in _QUANTILE_US:
+            for w in _QUANTILE_WS:
+                v = cop.conditional_quantile(u, w)
+                assert v.hex() == _scalar_quantile(cop, u, w).hex()
+                lines.append(v.hex())
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == _QUANTILE_DIGESTS[gen.label]
+
+
+def test_conditional_quantile_refusal_messages():
+    cop = Copula(builtin("phi1"), 0.9)
+    cases = (
+        (0.5, 0.3, KinkPointError, "conditional cdf undefined at a kink of phi1 (u=0.5)"),
+        (0.3, 1.5, ValueError, "w must lie in [0, 1], got 1.5"),
+        (0.3, -0.0001, ValueError, "w must lie in [0, 1], got -0.0001"),
+        (0.3, math.nan, ValueError, "w must lie in [0, 1], got nan"),
+        (1.5, 0.3, ValueError, "u must lie in [0, 1], got 1.5"),
+    )
+    for u, w, kind, message in cases:
+        with pytest.raises(kind) as exc:
+            cop.conditional_quantile(u, w)
+        assert type(exc.value) is kind
+        assert str(exc.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "field, hole, u, w, x",
+    [
+        ("phi_prime", lambda x: (0.3 < x) & (x < 0.4), 0.35, 0.5, 0.35),
+        ("phi", lambda x: (0.3 < x) & (x < 0.4), 0.2, 0.35, 0.375),
+        ("phi", lambda x: x >= 0.99, 0.2, 0.9, 1.0),
+        ("phi", lambda x: x <= 0.0, 0.2, 0.9, 0.0),
+    ],
+    ids=["dphi-at-u", "phi-mid-walk", "phi-at-1", "phi-at-0"],
+)
+def test_conditional_quantile_domain_error_is_pinned(field, hole, u, w, x):
+    fgm = builtin("phi2")
+    gen = dataclasses.replace(fgm, label="banded", **{field: with_hole(getattr(fgm, field), hole)})
+    cop = Copula(gen, 0.5)
+    with pytest.raises(EvaluationDomainError) as exc:
+        cop.conditional_quantile(u, w)
+    assert str(exc.value) == f"test hole in 'x' at x={x!r}"
+    assert exc.value.x == x
+
+
 # ---------------------------------------------------------------------------
 # Rectangle volumes
 
@@ -322,7 +427,7 @@ def test_sample_rejects_negative_n():
 
 
 def _pair_by_pair(cop: Copula, n: int, seed: int) -> list[tuple[str, str]]:
-    """The per-pair sampling loop: nudge u off a kink, then invert."""
+    """The per-pair sampling loop: nudge u off a kink, then invert alone."""
     stream = RandomStream(seed)
     out = []
     for _ in range(n):
@@ -330,7 +435,7 @@ def _pair_by_pair(cop: Copula, n: int, seed: int) -> list[tuple[str, str]]:
         if u in cop.gen.kinks:
             u = math.nextafter(u, 1.0)
         w = stream.next_float()
-        out.append((u.hex(), cop.conditional_quantile(u, w).hex()))
+        out.append((u.hex(), _scalar_quantile(cop, u, w).hex()))
     return out
 
 
