@@ -40,7 +40,6 @@ from .measures import (
     tau_phi5,
 )
 from .numerics import (
-    BracketError,
     ConvergenceError,
     QuadratureError,
     RandomStream,
@@ -103,7 +102,6 @@ __all__ = [
     "to_source",
     # numerics
     "QuadratureError",
-    "BracketError",
     "ConvergenceError",
     "RandomStream",
     "integrate_1d",

@@ -7,7 +7,8 @@ rectangle mass factorizes as (u2-u1)(v2-v1) + theta*(phi(u2)-phi(u1))*
 (phi(v2)-phi(v1)).  The grid forms evaluate phi or phi' once per node of a
 tensor grid and broadcast the same formulas, cell for cell bit-identical to
 the pointwise methods.  Sampling inverts the conditional cdf by bisection, so a
-(seed, n) pair reproduces the same sample bit for bit on any platform.
+(seed, n) pair reproduces the same sample bit for bit on the same libm (on any
+IEEE-754 platform for formulas without sin, cos, log or pow).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .generator import Generator, GeneratorValidationError, raise_at_nan, validate
-from .numerics import MAX_HALVINGS, QUANTILE_TOL, RandomStream, bisect
+from .numerics import MAX_HALVINGS, ConvergenceError, RandomStream, bisect
 
 __all__ = ["Copula", "SamplePairs", "KinkPointError", "ThetaRangeError"]
 
@@ -100,10 +101,7 @@ class Copula:
         """P(V <= v | U = u) = v + theta*phi'(u)*phi(v)."""
         self._check_unit("u", u)
         self._check_unit("v", v)
-        if u in self.gen.kinks:
-            raise KinkPointError(
-                f"conditional cdf undefined at a kink of {self.gen.label} (u={u!r})"
-            )
+        self._check_off_kink(u)
         return v + self.theta * self.gen.phi_prime(u) * self.gen.phi(v)
 
     def conditional_quantile(self, u: float, w: float) -> float:
@@ -116,13 +114,8 @@ class Copula:
         self._check_unit("u", u)
         if not (0.0 <= w <= 1.0):
             raise ValueError(f"w must lie in [0, 1], got {w!r}")
-        f = lambda v: self.conditional_cdf(u, v)
-        # guard the exact-endpoint levels: phi(0)=phi(1)=0 only up to rounding
-        if w <= f(0.0):
-            return 0.0
-        if w >= f(1.0):
-            return 1.0
-        return bisect(f, 0.0, 1.0, w)
+        self._check_off_kink(u)
+        return self._quantiles(np.array([u], dtype=float), np.array([w], dtype=float)).item()
 
     def rectangle_volume(self, u1: float, u2: float, v1: float, v2: float) -> float:
         """Mass of [u1,u2] x [v1,v2]; requires u1 <= u2 and v1 <= v2."""
@@ -176,60 +169,35 @@ class Copula:
         For each pair: u ~ U(0,1), w ~ U(0,1) (in that order), and v solves
         conditional_cdf(u, v) = w by bisection to QUANTILE_TOL.  A u that lands
         exactly on a declared kink is nudged one ulp toward 1.  All pairs are
-        solved together, each with the exact steps of conditional_quantile.
+        solved together; each v is the one conditional_quantile gives its pair.
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
         draws = RandomStream(seed).next_floats(2 * n)
         u, w = draws[0::2], draws[1::2]
         u = np.where(np.isin(u, self.gen.kinks), np.nextafter(u, 1.0), u)
-        v, undefined = self._lockstep_quantiles(u, w)
-        us, ws, vs = u.tolist(), w.tolist(), v.tolist()
-        # the scalar path raises the error the pair-by-pair loop raised first
-        for i in np.flatnonzero(undefined).tolist():
-            vs[i] = self.conditional_quantile(us[i], ws[i])
-        return SamplePairs(tuple(zip(us, vs)), seed=seed, n=n)
+        v = self._quantiles(u, w)
+        return SamplePairs(tuple(zip(u.tolist(), v.tolist())), seed=seed, n=n)
 
-    def _lockstep_quantiles(
-        self, u: np.ndarray, w: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """conditional_quantile of every pair, bisected in lockstep.
+    def _quantiles(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """conditional_quantile of each pair (u[i], w[i]), u off the kinks.
 
-        The conditional cdf v + (theta*phi'(u))*phi(v) keeps its operation
-        order, and the guards, midpoints and stopping rule are those of
-        conditional_quantile and numerics.bisect, so every solved v is
-        bit-identical.  The mask marks pairs left unsolved: a NaN (where the
-        scalar path raises a domain error) or still live after MAX_HALVINGS
-        halvings.
+        The first unsolved pair raises what a pair-by-pair loop meets first:
+        conditional_cdf's error where the solve read NaN (FloatingPointError
+        if it reads NaN too), or ConvergenceError after MAX_HALVINGS halvings.
         """
         gen = self.gen
         with np.errstate(over="ignore"):  # Python floats overflow to inf too
             a = self.theta * gen.phi_prime(u)
-            phi0, phi1 = gen.phi(np.array([0.0, 1.0])).tolist()
-            f0 = 0.0 + a * phi0
-            f1 = 1.0 + a * phi1
-            low = w <= f0
-            high = ~low & (w >= f1)
-            undefined = np.isnan(f0) | (~low & np.isnan(f1))
-            v = np.where(high, 1.0, 0.0)
-            live = np.flatnonzero(~(low | high | undefined))
-            a, w = a[live], w[live]
-            lo, hi = np.zeros(live.size), np.ones(live.size)
-            for _ in range(MAX_HALVINGS):
-                if not live.size:
-                    break
-                mid = 0.5 * (lo + hi)
-                fmid = mid + a * gen.phi(mid)
-                nan = np.isnan(fmid)
-                stop = (np.abs(fmid - w) <= QUANTILE_TOL) | ((hi - lo) <= QUANTILE_TOL)
-                undefined[live[nan]] = True
-                v[live[stop]] = mid[stop]
-                up = fmid < w
-                lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-                keep = ~(stop | nan)
-                live, a, w, lo, hi = live[keep], a[keep], w[keep], lo[keep], hi[keep]
-        undefined[live] = True
-        return v, undefined
+            v, unsolved = bisect(lambda x, rows: x + a[rows] * gen.phi(x), w)
+        bad = np.flatnonzero(unsolved)
+        if bad.size:
+            ui, vi = u[bad[0]].item(), v[bad[0]].item()
+            if np.isnan(vi):
+                raise ConvergenceError(f"bisection did not converge in {MAX_HALVINGS} iterations")
+            self.conditional_cdf(ui, vi)
+            raise FloatingPointError(f"conditional cdf read NaN at u={ui!r}, v={vi!r}")
+        return v
 
     # -- helpers ---------------------------------------------------------------
 
@@ -239,6 +207,12 @@ class Copula:
         if outside.size:
             self._check_unit("grid node", float(nodes[outside[0]]))
         return nodes
+
+    def _check_off_kink(self, u: float) -> None:
+        if u in self.gen.kinks:
+            raise KinkPointError(
+                f"conditional cdf undefined at a kink of {self.gen.label} (u={u!r})"
+            )
 
     @staticmethod
     def _check_unit(name: str, value: float) -> None:

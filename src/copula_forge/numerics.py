@@ -22,6 +22,7 @@ over a grid of cell values.
 ``eval_grid`` fills such a grid one call per cell.  No code of the package
 calls it any more; it stays because the benchmark's per-layer tracer wraps
 it, and goes once that tracer reads spans from inside the package.
+``bisect``, the package's one bisection, solves many rows in lockstep.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "QuadratureError",
-    "BracketError",
     "ConvergenceError",
     "RandomStream",
     "integrate_1d",
@@ -50,10 +50,6 @@ class QuadratureError(ArithmeticError):
     """Adaptive quadrature exhausted its recursion depth."""
 
 
-class BracketError(ValueError):
-    """Bisection target is not bracketed by the endpoint values."""
-
-
 class ConvergenceError(ArithmeticError):
     """Iteration cap reached before the tolerance was met."""
 
@@ -62,7 +58,7 @@ class ConvergenceError(ArithmeticError):
 MAX_DEPTH = 50
 
 # bisection stops at this residual or bracket width, and gives up after
-# MAX_HALVINGS halvings; the scalar and lockstep quantile paths share both
+# MAX_HALVINGS halvings
 QUANTILE_TOL = 1e-12
 MAX_HALVINGS = 200
 
@@ -196,30 +192,42 @@ def eval_grid(
 # Bisection
 
 
-def bisect(f: Callable[[float], float], lo: float, hi: float, target: float) -> float:
-    """Solve f(x) = target on [lo, hi] for a nondecreasing f.
+def bisect(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve f(v, rows) = target[rows] on [0, 1], every row in lockstep.
 
-    Stops when |f(mid) - target| or the bracket width drops to QUANTILE_TOL.
-    Raises BracketError if target is outside [f(lo), f(hi)] and
-    ConvergenceError if MAX_HALVINGS halvings were not enough.
+    f(v, rows) is nondecreasing in v for each row of the index array rows.
+    A target at or beyond f(0) or f(1) gets 0 or 1; otherwise the midpoint
+    where |f(mid) - target| or the bracket width drops to QUANTILE_TOL.
+    Each row takes the steps it would take alone.  Returns (v, unsolved):
+    an unsolved row's v is where its f first read NaN, or NaN if it was
+    still live after MAX_HALVINGS halvings.
     """
-    if not (lo <= hi):
-        raise ValueError("bisect needs lo <= hi")
-    flo, fhi = f(lo), f(hi)
-    if not (flo <= target <= fhi):
-        raise BracketError(
-            f"target {target!r} not bracketed: f({lo!r})={flo!r}, f({hi!r})={fhi!r}"
-        )
+    n = target.size
+    f0, f1 = f(np.repeat([0.0, 1.0], n), np.tile(np.arange(n), 2)).reshape(2, n)
+    low = target <= f0
+    unsolved = np.isnan(f0) | (~low & np.isnan(f1))
+    v = np.where(low | np.isnan(f0), 0.0, 1.0)
+    live = np.flatnonzero(~(low | unsolved | (target >= f1)))
+    target = target[live]
+    lo, hi = np.zeros(live.size), np.ones(live.size)
     for _ in range(MAX_HALVINGS):
+        if not live.size:
+            break
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid - target) <= QUANTILE_TOL or (hi - lo) <= QUANTILE_TOL:
-            return mid
-        if fmid < target:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(f"bisection did not converge in {MAX_HALVINGS} iterations")
+        fmid = f(mid, live)
+        nan = np.isnan(fmid)
+        done = nan | (np.abs(fmid - target) <= QUANTILE_TOL) | ((hi - lo) <= QUANTILE_TOL)
+        unsolved[live[nan]] = True
+        v[live[done]] = mid[done]
+        up = fmid < target
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        keep = ~done
+        live, target, lo, hi = live[keep], target[keep], lo[keep], hi[keep]
+    unsolved[live] = True
+    v[live] = np.nan
+    return v, unsolved
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from copula_forge.copula import Copula, KinkPointError, SamplePairs, ThetaRangeError
 from copula_forge.exprlang import EvaluationDomainError
 from copula_forge.generator import GeneratorValidationError, builtin, from_expression
+from copula_forge import numerics
 from copula_forge.numerics import (
     MAX_HALVINGS,
     QUANTILE_TOL,
@@ -486,6 +487,38 @@ def test_sample_domain_error_matches_pair_by_pair(field):
         cop.sample(60, seed=5)
     assert str(lockstep.value) == str(scalar.value)
     assert lockstep.value.x == scalar.value.x
+
+
+@pytest.mark.filterwarnings("error")
+def test_form_reading_nan_without_raising_raises_floating_point_error():
+    fgm = builtin("phi2")
+    band = lambda x: (0.3 < x) & (x < 0.4)
+
+    def quiet(x):  # NaN in the band on both paths, never an error
+        if isinstance(x, np.ndarray):
+            return np.where(band(x), np.nan, fgm.phi(x))
+        return math.nan if band(x) else fgm.phi(x)
+
+    cop = Copula(dataclasses.replace(fgm, label="quiet", phi=quiet), 0.5)
+    with pytest.raises(FloatingPointError) as exc:
+        cop.conditional_quantile(0.2, 0.35)
+    assert str(exc.value) == "conditional cdf read NaN at u=0.2, v=0.375"
+    loud = Copula(dataclasses.replace(fgm, label="loud", phi=with_hole(fgm.phi, band)), 0.5)
+    with pytest.raises(EvaluationDomainError) as first:
+        loud.sample(60, seed=5)
+    with pytest.raises(FloatingPointError) as exc:
+        cop.sample(60, seed=5)
+    assert str(exc.value).endswith(f", v={first.value.x!r}")
+
+
+def test_pair_still_live_after_the_halving_cap_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_HALVINGS", 5)
+    cop = Copula(FGM, 0.5)
+    assert cop.conditional_quantile(0.3, 0.0) == 0.0
+    with pytest.raises(ConvergenceError, match="bisection did not converge"):
+        cop.conditional_quantile(0.3, 0.6)
+    with pytest.raises(ConvergenceError, match="bisection did not converge"):
+        cop.sample(10, seed=1)
 
 
 @pytest.mark.filterwarnings("error")

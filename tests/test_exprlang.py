@@ -585,6 +585,19 @@ def test_evaluate_array_spans_chunks_and_keeps_shape():
     assert evaluate_array(tree, []).shape == (0,)
 
 
+@pytest.mark.parametrize("top", [math.pi, 8192 * math.pi], ids=["pi", "8192pi"])
+def test_array_sin_cos_equal_math_bit_for_bit(top):
+    # the float forms of phi4 and of expressions read math.sin and math.cos,
+    # the array forms np.sin and np.cos; the sample digests were taken from
+    # the float forms and sample now reads the array forms
+    xs = np.random.default_rng(2011).uniform(0.0, top, 10**6)
+    points = xs.tolist()
+    for array_form, float_form in ((np.sin, math.sin), (np.cos, math.cos)):
+        want = np.fromiter(map(float_form, points), dtype=float, count=xs.size)
+        differ = np.flatnonzero(array_form(xs).view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, f"{float_form.__name__} differs at x = {xs[differ[:5]]!r}"
+
+
 def test_evaluate_array_refuses_non_finite_points():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):

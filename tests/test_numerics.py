@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from copula_forge import numerics
 from copula_forge.numerics import (
-    BracketError,
+    QUANTILE_TOL,
     QuadratureError,
     RandomStream,
     bisect,
@@ -168,24 +169,61 @@ def test_tensor_gauss_bit_identical_across_processes():
 # bisect
 
 
-def test_bisect_linear():
-    assert bisect(lambda x: x, 0.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_bisect_cubic():
-    got = bisect(lambda x: x**3, 0.0, 1.0, 1e-3)
+def test_bisect_linear_and_cubic_rows_meet_the_residual():
+    target = np.array([0.3, 1e-3, 0.7, 0.123456789])
+    cubic = np.array([False, True, True, False])
+    v, unsolved = bisect(lambda x, rows: np.where(cubic[rows], x**3, x), target)
+    assert not unsolved.any()
     # The stopping rule bounds the residual, not the abscissa error.
-    assert abs(got**3 - 1e-3) <= 1e-12
+    assert np.all(np.abs(np.where(cubic, v**3, v) - target) <= QUANTILE_TOL)
 
 
-def test_bisect_endpoint_hits():
-    assert bisect(lambda x: x, 0.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert bisect(lambda x: x, 0.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+def test_bisect_targets_at_or_beyond_the_ends_return_the_ends():
+    target = np.array([-1.0, 0.0, 0.25, 1.0, 2.0])
+    v, unsolved = bisect(lambda x, rows: x, target)
+    assert not unsolved.any()
+    assert v[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 1.0, 1.0]
+    # the ends come from the guards, not from halving towards them
+    v, _ = bisect(lambda x, rows: 0.5 * x + 0.25, np.array([0.25, 0.75]))
+    assert v.tolist() == [0.0, 1.0]
 
 
-def test_bisect_bracket_violation():
-    with pytest.raises(BracketError):
-        bisect(lambda x: x, 0.0, 1.0, 2.0)
+def test_bisect_nan_band_leaves_the_row_unsolved_at_its_first_nan():
+    shift = np.array([0.0, 0.2, 0.0, 0.0])
+    target = np.array([0.35, 0.65, 0.9, 0.1])
+
+    def f(x, rows):
+        y = x + shift[rows]
+        return np.where((0.3 < y) & (y < 0.4), np.nan, y)
+
+    v, unsolved = bisect(f, target)
+    assert unsolved.tolist() == [True, False, False, False]
+    assert v[0] == 0.375  # mids 0.5, 0.25, then 0.375 in the band
+    assert abs(v[1] + 0.2 - 0.65) <= QUANTILE_TOL
+    # a NaN at an end is recorded at that end
+    v, unsolved = bisect(lambda x, rows: np.where(x >= 1.0, np.nan, x), np.array([0.5, 0.0]))
+    assert unsolved.tolist() == [True, False]
+    assert v.tolist() == [1.0, 0.0]
+
+
+def test_bisect_row_left_live_reads_nan(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_HALVINGS", 5)
+    v, unsolved = bisect(lambda x, rows: x, np.array([0.3, 0.5, 1.0]))
+    assert unsolved.tolist() == [True, False, False]
+    assert math.isnan(v[0]) and v[1:].tolist() == [0.5, 1.0]
+
+
+def test_bisect_rows_equal_their_one_row_solves():
+    rng = np.random.default_rng(7)
+    slope = rng.uniform(-1.0, 1.0, 64)
+    target = rng.uniform(0.0, 1.0, 64)
+    target[:4] = (0.0, 1.0, 1e-300, 1.0 - 2.0**-53)
+    f = lambda x, rows: x + slope[rows] * x * (1.0 - x)
+    v, unsolved = bisect(f, target)
+    assert not unsolved.any()
+    for i in range(target.size):
+        alone, _ = bisect(lambda x, rows: x + slope[i] * x * (1.0 - x), target[i : i + 1])
+        assert v[i].hex() == alone[0].hex()
 
 
 # ---------------------------------------------------------------------------
