@@ -169,22 +169,44 @@ def test_tensor_gauss_bit_identical_across_processes():
 # bisect
 
 
-def test_bisect_linear_and_cubic_rows_meet_the_residual():
-    target = np.array([0.3, 1e-3, 0.7, 0.123456789])
-    cubic = np.array([False, True, True, False])
-    v, unsolved = bisect(lambda x, rows: np.where(cubic[rows], x**3, x), target)
+def test_bisect_linear():
+    target = np.array([0.3, 0.7, 0.123456789])
+    v, unsolved = bisect(lambda x, rows: x, target)
+    assert not unsolved.any()
+    assert np.all(np.abs(v - target) <= QUANTILE_TOL)
+
+
+def test_bisect_cubic():
+    target = np.array([1e-3, 0.7])
+    v, unsolved = bisect(lambda x, rows: x**3, target)
     assert not unsolved.any()
     # The stopping rule bounds the residual, not the abscissa error.
+    assert np.all(np.abs(v**3 - target) <= QUANTILE_TOL)
+    # rows with different f share one call
+    cubic = np.array([False, True, True, False])
+    target = np.array([0.3, 1e-3, 0.7, 0.123456789])
+    v, unsolved = bisect(lambda x, rows: np.where(cubic[rows], x**3, x), target)
+    assert not unsolved.any()
     assert np.all(np.abs(np.where(cubic, v**3, v) - target) <= QUANTILE_TOL)
 
 
-def test_bisect_targets_at_or_beyond_the_ends_return_the_ends():
-    target = np.array([-1.0, 0.0, 0.25, 1.0, 2.0])
-    v, unsolved = bisect(lambda x, rows: x, target)
+def test_bisect_endpoint_hits():
+    v, unsolved = bisect(lambda x, rows: x, np.array([0.0, 0.25, 1.0]))
     assert not unsolved.any()
-    assert v[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert v[[0, 2]].tolist() == [0.0, 1.0]
     # the ends come from the guards, not from halving towards them
     v, _ = bisect(lambda x, rows: 0.5 * x + 0.25, np.array([0.25, 0.75]))
+    assert v.tolist() == [0.0, 1.0]
+
+
+def test_bisect_bracket_violation():
+    # A target beyond f(0) or f(1) cannot leave the bracket: the guards
+    # return the nearer end and the row counts as solved.
+    v, unsolved = bisect(lambda x, rows: x, np.array([-1.0, 2.0, 0.5]))
+    assert not unsolved.any()
+    assert v.tolist() == [0.0, 1.0, 0.5]
+    v, unsolved = bisect(lambda x, rows: 0.5 * x + 0.25, np.array([0.0, 1.0]))
+    assert not unsolved.any()
     assert v.tolist() == [0.0, 1.0]
 
 
