@@ -366,6 +366,77 @@ def test_envelope_names_the_first_undefined_node():
     assert envelope.witness == (0.25, math.inf)
 
 
+_SLOPE_PASS = {
+    "name": "derivative_bound",
+    "verdict": "pass",
+    "witness": None,
+    "note": "|phi'| <= 1 + tol on the grid (symbolic derivative)",
+}
+
+
+def _undefined(check: str, x: float) -> dict:
+    return {"name": check, "verdict": "fail", "witness": [x, math.inf],
+            "note": f"phi undefined at x={x}"}
+
+
+def _lifted(x):
+    """x(1-x) + 0.01: |phi(0)| = |phi(1)| = 0.01, both beyond tol."""
+    return x * (1.0 - x) + 0.01
+
+
+_LIFTED_ENDPOINTS = {"name": "endpoints", "verdict": "fail", "witness": [0.0, 0.01],
+                     "note": "|phi| exceeds 1e-09 at an endpoint"}
+_LIFTED_ENVELOPE = {"name": "envelope", "verdict": "fail",
+                    "witness": [0.099853515625, 0.09988279104232788],
+                    "note": "|phi(x)| exceeds min(x, 1-x) + tol"}
+
+
+def _report(label: str, *checks: dict) -> dict:
+    return {"generator": label, "grid_points": 4097, "tol": 1e-9, "certified": False,
+            "checks": list(checks), "overall": "fail"}
+
+
+def _hand_built(label: str, phi, phi_prime=None) -> Generator:
+    fgm = builtin("phi2")
+    return Generator(phi=phi, phi_prime=phi_prime or fgm.phi_prime,
+                     phi_second=fgm.phi_second, label=label)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gen, want", [
+    pytest.param(
+        _hand_built("hole-0", with_hole(builtin("phi2").phi, lambda x: x == 0.0)),
+        _report("hole-0", _undefined("endpoints", 0.0), _SLOPE_PASS,
+                _undefined("envelope", 0.0)),
+        id="phi-undefined-at-0",
+    ),
+    pytest.param(
+        _hand_built("hole-1", with_hole(_lifted, lambda x: x == 1.0)),
+        _report("hole-1", _undefined("endpoints", 1.0), _SLOPE_PASS,
+                _undefined("envelope", 1.0)),
+        id="phi-undefined-at-1-only",
+    ),
+    pytest.param(
+        _hand_built("tie", _lifted),
+        _report("tie", _LIFTED_ENDPOINTS, _SLOPE_PASS, _LIFTED_ENVELOPE),
+        id="endpoint-tie-keeps-0",
+    ),
+    pytest.param(
+        _hand_built("band", _lifted, with_hole(builtin("phi2").phi_prime,
+                                               lambda x: (0.3 < x) & (x < 0.4))),
+        _report("band", _LIFTED_ENDPOINTS,
+                {"name": "derivative_bound", "verdict": "inconclusive", "witness": None,
+                 "note": "derivative undefined at 410 grid points"},
+                _LIFTED_ENVELOPE),
+        id="slope-band-and-endpoints",
+    ),
+])
+def test_endpoint_reports_of_hand_built_generators(gen, want):
+    report = validate(gen)
+    assert report.to_dict() == want
+    assert all(type(v) is float for v in report.checks[0].witness)
+
+
 def test_derivative_bound_skips_kink_nodes_before_evaluating():
     # phi' is steep and undefined exactly on the declared kinks, nowhere else
     zero = lambda x: 0.0 * x
@@ -436,6 +507,6 @@ def test_banded_phi2_raises_on_the_float_and_the_array_path():
     with pytest.raises(EvaluationDomainError) as grid:
         cop.density_grid([0.1, 0.35, 0.37])
     assert point.value.x == grid.value.x == 0.35
-    # validate reads the band too: phi' is undefined at 409 of its nodes
+    # validate reads the band too: phi' is undefined at 410 of its nodes
     assert validate(banded).checks[1].verdict == "inconclusive"
 

@@ -11,7 +11,7 @@ from conftest import with_hole
 from copula_forge.copula import Copula
 from copula_forge.exprlang import EvaluationDomainError
 from copula_forge.generator import Generator, builtin, from_expression
-from copula_forge.numerics import uniform_grid
+from copula_forge.numerics import legendre_rule, uniform_grid
 from copula_forge.properties import (
     PROPERTY_KEYS,
     dependence_profile,
@@ -337,6 +337,18 @@ def test_pfd_closed_form_honors_extra_breakpoints():
     with_brk = pfd_closed_form(cop, smooth, breakpoints=(lo, hi))
     against = oracle_pfd(cop, smooth, resolution=512)
     assert with_brk == pytest.approx(against, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pfd_closed_form_raises_at_the_first_node_of_a_slope_hole():
+    fgm = builtin("phi2")
+    band = lambda x: (0.3 < x) & (x < 0.4)
+    cop = Copula(dataclasses.replace(fgm, phi_prime=with_hole(fgm.phi_prime, band)), 0.5)
+    nodes = (0.5 + 0.5 * legendre_rule(64)[0]).tolist()  # one piece: phi2 has no kinks
+    first = next(x for x in nodes if band(x))
+    with pytest.raises(EvaluationDomainError) as err:
+        pfd_closed_form(cop, lambda t: t)
+    assert err.value.x == first
 
 
 def test_oracle_resolution_rules():
