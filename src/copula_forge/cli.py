@@ -31,7 +31,7 @@ import math
 import sys
 from typing import Callable, Sequence
 
-from .copula import Copula, ThetaRangeError, check_theta
+from .copula import Copula, ThetaRangeError
 from .exprlang import (
     EvaluationDomainError,
     ExpressionSyntaxError,
@@ -225,17 +225,6 @@ def _make_generator(args: argparse.Namespace) -> Generator:
         ) from err
     except UnknownIdentifierError as err:
         raise _CliError(2, "unknown-identifier", str(err)) from err
-    except EvaluationDomainError as err:
-        # parses but cannot be evaluated across [0,1]: a defective generator,
-        # reported like a validation failure
-        raise _CliError(1, "domain", str(err)) from err
-
-
-def _theta_arg(theta: float) -> float:
-    try:
-        return check_theta(theta)
-    except ThetaRangeError as err:
-        raise _CliError(2, "argument", str(err)) from err
 
 
 def _check_positive(name: str, value: int, minimum: int, maximum: int) -> None:
@@ -317,7 +306,7 @@ _MEASURES = ("sigma", "tau", "rho")
 def _cmd_measures(args: argparse.Namespace) -> tuple[int, dict]:
     _check_positive("--resolution", args.resolution, 16, MAX_RESOLUTION)
     gen = _make_generator(args)
-    cop = Copula(gen, _theta_arg(args.theta))
+    cop = Copula(gen, args.theta)
     payload: dict = {"generator": gen.label, "theta": args.theta, "method": args.method}
     if args.method != "quad":
         closed = closed_form_measures(cop)
@@ -355,20 +344,19 @@ def _render_measures(p: dict) -> str:
 
 
 def _cmd_table1(args: argparse.Namespace) -> tuple[int, dict]:
-    theta = _theta_arg(args.theta)
-    a = abs(theta)
+    a = abs(args.theta)
     rows = []
     worst = 0.0
     for name, *references in _TABLE1_ROWS:
-        m = closed_form_measures(Copula(builtin(name), theta))
+        m = closed_form_measures(Copula(builtin(name), args.theta))
         row = {"generator": name}
         for key, reference in zip(_MEASURES, references):
             row[key] = getattr(m, key)
-            row[f"{key}_reference"] = reference(a, theta)
+            row[f"{key}_reference"] = reference(a, args.theta)
             worst = max(worst, abs(row[key] - row[f"{key}_reference"]))
         rows.append(row)
     return 0, {
-        "theta": theta,
+        "theta": args.theta,
         "rows": rows,
         "max_abs_difference": worst,
         "tolerance": _TABLE1_TOL,
@@ -393,7 +381,7 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[int, dict]:
     if not (0 <= args.seed < 2**64):
         raise _CliError(2, "argument", "--seed must fit in 64 bits")
     gen = _make_generator(args)
-    pairs = Copula(gen, _theta_arg(args.theta)).sample(args.n, args.seed)
+    pairs = Copula(gen, args.theta).sample(args.n, args.seed)
     return 0, {
         "generator": gen.label,
         "theta": args.theta,
@@ -412,7 +400,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     _check_positive("--resolution", args.resolution, 16, MAX_RESOLUTION)
     _check_tol(args.tol)
     gen = _make_generator(args)
-    cop = Copula(gen, _theta_arg(args.theta))
+    cop = Copula(gen, args.theta)
     report = dependence_profile(gen, args.theta, grid=args.grid, tol=args.tol)
     payload: dict = {"report": report.to_dict()}
     if args.oracle:
@@ -473,17 +461,16 @@ def _render_check(p: dict) -> str:
 def _cmd_converge(args: argparse.Namespace) -> tuple[int, dict]:
     _check_positive("--n-max", args.n_max, 1, MAX_N_MAX)
     _check_positive("--resolution", args.resolution, 16, MAX_RESOLUTION)
-    theta = _theta_arg(args.theta)
     rows = []
     for n in range(1, args.n_max + 1):
-        formula = tau_phi5(n, theta)
+        formula = tau_phi5(n, args.theta)
         quad5 = quadrature_measures(
-            Copula(builtin("phi5", n), theta), resolution=args.resolution
+            Copula(builtin("phi5", n), args.theta), resolution=args.resolution
         ).tau
         tau6 = None
         if n >= 2:
             tau6 = quadrature_measures(
-                Copula(builtin("phi6", n), theta), resolution=args.resolution
+                Copula(builtin("phi6", n), args.theta), resolution=args.resolution
             ).tau
         rows.append(
             {
@@ -494,7 +481,7 @@ def _cmd_converge(args: argparse.Namespace) -> tuple[int, dict]:
                 "tau6_quadrature": tau6,
             }
         )
-    return 0, {"theta": theta, "resolution": args.resolution, "rows": rows}
+    return 0, {"theta": args.theta, "resolution": args.resolution, "rows": rows}
 
 
 def _render_converge(p: dict) -> str:
@@ -546,11 +533,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except _CliError as err:
         failure = err
+    except ThetaRangeError as err:
+        failure = _CliError(2, "argument", str(err))
     except GeneratorValidationError as err:
         report = {"report": err.report.to_dict()}
         failure = _CliError(1, "validation", str(err), report)
     except EvaluationDomainError as err:
-        # an expression undefined at a point some later scan probes
+        # a generator undefined at a probe of from_expression or at a point
+        # some later scan reads: reported like a validation failure
         failure = _CliError(1, "domain", str(err))
     except ArithmeticError as err:
         # a float overflow or zero division, or a quadrature or bisection

@@ -112,8 +112,7 @@ class Copula:
         QUANTILE_TOL on the function value (or interval width) always lands.
         """
         self._check_unit("u", u)
-        if not (0.0 <= w <= 1.0):
-            raise ValueError(f"w must lie in [0, 1], got {w!r}")
+        self._check_unit("w", w)
         self._check_off_kink(u)
         return self._quantiles(np.array([u], dtype=float), np.array([w], dtype=float)).item()
 

@@ -21,6 +21,10 @@ a copula for every theta.  Six named families ship with the package:
 phi5 and phi6 both converge to phi1 as n grows; phi5's cap joins and phi1's
 midpoint are recorded as kink sets so that grid scans of derivatives can
 skip the points where the relevant one-sided limits disagree.
+
+Every scan of phi, in ``validate`` and in ``properties.dependence_profile``,
+reads a ``GridSample``: each form in one array pass over one uniform grid.
+``raise_at_nan`` is the one path from an undefined node to its error.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import Callable
 
@@ -37,7 +41,6 @@ import numpy as np
 
 from .exprlang import (
     _KERNELS,
-    EvaluationDomainError,
     Expression,
     compile_array,
     differentiate,
@@ -50,6 +53,7 @@ from .numerics import uniform_grid
 __all__ = [
     "Generator",
     "GeneratorValidationError",
+    "GridSample",
     "CheckResult",
     "ValidationReport",
     "BUILTIN_NAMES",
@@ -377,6 +381,70 @@ def from_expression(expr: Expression | str) -> Generator:
 
 
 # ---------------------------------------------------------------------------
+# The grid sample
+
+
+def first_index(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+class GridSample:
+    """One generator read on one uniform grid, at one scan tolerance.
+
+    Holds the nodes xs, whose first and last are exactly 0.0 and 1.0, and
+    the nodes off the declared kinks.  phi(xs), phi(1 - xs), and phi' and
+    phi'' off the kinks are each one pass of the generator's forms over an
+    array, made on first use, and so are the sign scans of phi and phi''
+    that pqd, si, tp2 and both orderings share.  NaN marks a node where the
+    float call raises EvaluationDomainError.  ``validate`` reports such a
+    node; the property scans pass what they read to ``raise_at_nan`` in the
+    order the point-by-point scans read it, so the first error they met is
+    the one raised, and a NaN no scan reads raises nothing.
+    """
+
+    def __init__(self, gen: Generator, grid: int, tol: float) -> None:
+        if grid < 3:
+            raise ValueError("grid must be at least 3")
+        if not (tol > 0.0):
+            raise ValueError("tol must be positive")
+        self.gen = gen
+        self.tol = tol
+        self.meta = f"grid={grid}, tol={tol:g}"
+        self.xs = uniform_grid(grid)
+        self.smooth_xs = self.xs[~np.isin(self.xs, gen.kinks)]
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.gen.phi(self.xs)
+
+    @cached_property
+    def mirrored(self) -> np.ndarray:
+        return self.gen.phi(1.0 - self.xs)
+
+    @cached_property
+    def slope(self) -> np.ndarray:
+        """phi' off the kinks."""
+        return self.gen.phi_prime(self.smooth_xs)
+
+    @cached_property
+    def phi_signs(self) -> tuple[float | None, float | None]:
+        """Earliest nodes with phi > tol and with phi < -tol."""
+        raise_at_nan(self.gen.phi, self.xs, self.phi)
+        return self._signs(self.xs, self.phi)
+
+    @cached_property
+    def curvature_signs(self) -> tuple[float | None, float | None]:
+        """The same for phi'', kink abscissae excluded."""
+        values = raise_at_nan(self.gen.phi_second, self.smooth_xs)
+        return self._signs(self.smooth_xs, values)
+
+    def _signs(self, xs: np.ndarray, values: np.ndarray) -> tuple[float | None, float | None]:
+        firsts = (first_index(values > self.tol), first_index(values < -self.tol))
+        return tuple(None if i is None else float(xs[i]) for i in firsts)
+
+
+# ---------------------------------------------------------------------------
 # Validation
 
 
@@ -427,30 +495,24 @@ class ValidationReport:
         }
 
 
-def _check_endpoints(gen: Generator, tol: float) -> CheckResult:
-    worst: tuple[float, float] | None = None
-    for x in (0.0, 1.0):
-        try:
-            value = abs(gen.phi(x))
-        except EvaluationDomainError:
-            return CheckResult(
-                "endpoints", "fail", (x, math.inf), f"phi undefined at x={x}"
-            )
-        if value > tol and (worst is None or value > worst[1]):
-            worst = (x, value)
-    if worst is not None:
-        return CheckResult(
-            "endpoints", "fail", worst, f"|phi| exceeds {tol} at an endpoint"
-        )
-    return CheckResult("endpoints", "pass", None, "phi(0) and phi(1) within tol of 0")
-
-
-def _check_derivative_bound(
-    gen: Generator, xs: np.ndarray, tol: float
+def _check_bound(
+    name: str, xs: np.ndarray, values: np.ndarray, bound, fail_note: str, pass_note: str
 ) -> CheckResult:
-    pts = xs[~np.isin(xs, gen.kinks)]
-    d = np.abs(gen.phi_prime(pts))
-    violations = d > 1.0 + tol  # False where phi' is undefined (NaN)
+    """The first node where |phi| is undefined, else the first largest excess."""
+    undefined = np.isnan(values)
+    if undefined.any():
+        x = float(xs[np.argmax(undefined)])  # the first undefined node
+        return CheckResult(name, "fail", (x, math.inf), f"phi undefined at x={x}")
+    violations = values > bound
+    if violations.any():
+        i = int(np.argmax(np.where(violations, values, -math.inf)))  # first largest
+        return CheckResult(name, "fail", (float(xs[i]), float(values[i])), fail_note)
+    return CheckResult(name, "pass", None, pass_note)
+
+
+def _check_derivative_bound(sample: GridSample) -> CheckResult:
+    pts, d = sample.smooth_xs, np.abs(sample.slope)
+    violations = d > 1.0 + sample.tol  # False where phi' is undefined (NaN)
     if violations.any():
         i = int(np.argmax(np.where(violations, d, -math.inf)))  # first largest
         return CheckResult(
@@ -475,27 +537,11 @@ def _check_derivative_bound(
     )
 
 
-def _check_envelope(gen: Generator, xs: np.ndarray, tol: float) -> CheckResult:
-    values = np.abs(gen.phi(xs))
-    undefined = np.isnan(values)
-    if undefined.any():
-        x = float(xs[np.argmax(undefined)])  # the first undefined point
-        return CheckResult("envelope", "fail", (x, math.inf), f"phi undefined at x={x}")
-    violations = values > np.minimum(xs, 1.0 - xs) + tol
-    if violations.any():
-        i = int(np.argmax(np.where(violations, values, -math.inf)))  # first largest
-        return CheckResult(
-            "envelope",
-            "fail",
-            (float(xs[i]), float(values[i])),
-            "|phi(x)| exceeds min(x, 1-x) + tol",
-        )
-    return CheckResult("envelope", "pass", None, "|phi| within the triangular envelope")
-
-
 def validate(gen: Generator, grid_points: int = 4097, tol: float = 1e-9) -> ValidationReport:
-    """Scan the three generator conditions on a uniform grid.
+    """Scan the three generator conditions on one grid sample.
 
+    The sample reads phi' off the kinks, then phi at every node, the
+    endpoints 0.0 and 1.0 included; an undefined node fails, not raises.
     Verdicts are grid-level: a pass certifies the conditions at grid_points
     sample points within tol, nothing more.  The shipped builtins carry
     certified_valid=True because their validity is algebraic; the scan is
@@ -507,11 +553,19 @@ def validate(gen: Generator, grid_points: int = 4097, tol: float = 1e-9) -> Vali
         raise ValueError("grid_points must be at least 3")
     if not (0.0 < tol < MAX_TOL):  # also refuses NaN
         raise ValueError(f"tol must be positive and below {MAX_TOL:g}")
-    xs = uniform_grid(grid_points)
+    sample = GridSample(gen, grid_points, tol)
+    derivative_bound = _check_derivative_bound(sample)  # the phi' pass, then phi's
+    xs, values, ends = sample.xs, np.abs(sample.phi), [0, -1]
     checks = (
-        _check_endpoints(gen, tol),
-        _check_derivative_bound(gen, xs, tol),
-        _check_envelope(gen, xs, tol),
+        _check_bound(
+            "endpoints", xs[ends], values[ends], tol,
+            f"|phi| exceeds {tol} at an endpoint", "phi(0) and phi(1) within tol of 0",
+        ),
+        derivative_bound,
+        _check_bound(
+            "envelope", xs, values, np.minimum(xs, 1.0 - xs) + tol,
+            "|phi(x)| exceeds min(x, 1-x) + tol", "|phi| within the triangular envelope",
+        ),
     )
     return ValidationReport(
         label=gen.label,

@@ -9,7 +9,8 @@ conditions that are sufficient-only or scans that could not decide.
 Two independent layers:
 
 * the phi-condition scans of ``dependence_profile`` read all twelve
-  verdicts off the generator: reflection identities about 1/2 for
+  verdicts off one ``generator.GridSample``, the grid reader ``validate``
+  uses too: reflection identities about 1/2 for
   symmetry; sign constancy of phi for quadrant dependence and concordance
   ordering; monotonicity of phi(u)/u and phi(u)/(u-1) for tail
   monotonicity; curvature sign for stochastic increase, density total
@@ -27,15 +28,13 @@ analogues and the report carries a ``negative_dependence`` flag.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .copula import Copula, check_theta
-from .generator import Generator, raise_at_nan
+from .generator import Generator, GridSample, first_index, raise_at_nan
 from .numerics import gauss_axis, legendre_rule, uniform_grid
 
 __all__ = [
@@ -121,64 +120,6 @@ class PropertyReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# The grid sample
-
-
-class GridSample:
-    """One generator read on one uniform grid, at one scan tolerance.
-
-    Holds the nodes xs and the nodes off the declared kinks.  phi(xs),
-    phi(1 - xs) and phi'' off the kinks are each one pass of the
-    generator's forms over an array, made on first use, and so are the sign
-    scans of phi and phi'' that pqd, si, tp2 and both orderings share.  NaN
-    marks a node where the float call raises EvaluationDomainError; every scan
-    passes what it reads to ``raise_at_nan`` in the order the point-by-point
-    scans read it, so the first error they met is the one raised, and a NaN
-    no scan reads raises nothing.
-    """
-
-    def __init__(self, gen: Generator, grid: int, tol: float) -> None:
-        if grid < 3:
-            raise ValueError("grid must be at least 3")
-        if not (tol > 0.0):
-            raise ValueError("tol must be positive")
-        self.gen = gen
-        self.tol = tol
-        self.meta = f"grid={grid}, tol={tol:g}"
-        self.xs = uniform_grid(grid)
-        self.smooth_xs = self.xs[~np.isin(self.xs, gen.kinks)]
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return self.gen.phi(self.xs)
-
-    @cached_property
-    def mirrored(self) -> np.ndarray:
-        return self.gen.phi(1.0 - self.xs)
-
-    @cached_property
-    def phi_signs(self) -> tuple[float | None, float | None]:
-        """Earliest nodes with phi > tol and with phi < -tol."""
-        raise_at_nan(self.gen.phi, self.xs, self.phi)
-        return self._signs(self.xs, self.phi)
-
-    @cached_property
-    def curvature_signs(self) -> tuple[float | None, float | None]:
-        """The same for phi'', kink abscissae excluded."""
-        values = raise_at_nan(self.gen.phi_second, self.smooth_xs)
-        return self._signs(self.smooth_xs, values)
-
-    def _signs(self, xs: np.ndarray, values: np.ndarray) -> tuple[float | None, float | None]:
-        firsts = (_first_index(values > self.tol), _first_index(values < -self.tol))
-        return tuple(None if i is None else float(xs[i]) for i in firsts)
-
-
-def _first_index(mask: np.ndarray) -> int | None:
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
 _CURVATURE_HOW = "symbolic second derivative, kink abscissae excluded"
 
 
@@ -222,14 +163,12 @@ def _symmetry(sample: GridSample) -> tuple[Verdict, Verdict]:
     # node raises, one past it was never read.
     xs, here, mirrored, tol = sample.xs, sample.phi, sample.mirrored, sample.tol
     with np.errstate(invalid="ignore", over="ignore"):  # as Python's float ops
-        even = _first_index(np.abs(here - mirrored) > tol)
-        odd = _first_index(np.abs(here + mirrored) > tol)
+        even = first_index(np.abs(here - mirrored) > tol)
+        odd = first_index(np.abs(here + mirrored) > tol)
     stop = xs.size if even is None or odd is None else max(even, odd) + 1
-    undefined = np.isnan(here[:stop]) | np.isnan(mirrored[:stop])
-    for i in np.flatnonzero(undefined).tolist():
-        u = float(xs[i])
-        sample.gen.phi(1.0 - u)
-        sample.gen.phi(u)
+    reads = np.column_stack((1.0 - xs[:stop], xs[:stop])).ravel()
+    values = np.column_stack((mirrored[:stop], here[:stop])).ravel()
+    raise_at_nan(sample.gen.phi, reads, values)
     even_viol, odd_viol = (None if i is None else float(xs[i]) for i in (even, odd))
     meta = sample.meta
     if even_viol is None and odd_viol is None:
@@ -318,7 +257,7 @@ def _tail_verdict(sample: GridSample, vals: np.ndarray, ratio: str, suffix: str)
         delta = np.diff(vals)
     rise, drop = (
         None if i is None else (float(xs[i]), float(xs[i + 1]))
-        for i in (_first_index(delta > tol), _first_index(delta < -tol))
+        for i in (first_index(delta > tol), first_index(delta < -tol))
     )
     meta = sample.meta
     if rise is None or drop is None:
@@ -566,14 +505,11 @@ def pfd_closed_form(
     base_x, base_w = legendre_rule(PFD_NODES)
     panels = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(cuts, cuts[1:])]
     xs = np.concatenate([mid + half * base_x for mid, half in panels])
-    slopes = gen.phi_prime(xs).tolist()
+    slopes = raise_at_nan(gen.phi_prime, xs).tolist()  # phi' errors before g's
     halves = [half for _, half in panels for _ in range(PFD_NODES)]
     weights = base_w.tolist() * len(panels)
     # a plain running sum, in node order: np.sum would pair the terms
     total = 0.0
     for x, w, half, slope in zip(xs.tolist(), weights, halves, slopes):
-        gx = g(x)
-        if math.isnan(slope):  # undefined: the float call raises its error
-            slope = gen.phi_prime(x)
-        total += w * half * gx * slope
+        total += w * half * g(x) * slope
     return cop.theta * (total * total)

@@ -351,6 +351,22 @@ def test_pfd_closed_form_raises_at_the_first_node_of_a_slope_hole():
     assert err.value.x == first
 
 
+@pytest.mark.filterwarnings("error")
+def test_pfd_closed_form_reads_every_slope_before_g():
+    # g raises at every node, phi' only on a band: the phi' error comes first
+    fgm = builtin("phi2")
+    band = lambda x: (0.3 < x) & (x < 0.4)
+    cop = Copula(dataclasses.replace(fgm, phi_prime=with_hole(fgm.phi_prime, band)), 0.5)
+
+    def g(t: float) -> float:
+        raise ZeroDivisionError(f"g undefined at {t}")
+
+    with pytest.raises(EvaluationDomainError):
+        pfd_closed_form(cop, g)
+    with pytest.raises(ZeroDivisionError):
+        pfd_closed_form(Copula(fgm, 0.5), g)
+
+
 def test_oracle_resolution_rules():
     cop = Copula(builtin("phi2"), 0.5)
     with pytest.raises(ValueError):
