@@ -496,7 +496,8 @@ class ValidationReport:
 
 
 def _check_bound(
-    name: str, xs: np.ndarray, values: np.ndarray, bound, fail_note: str, pass_note: str
+    name: str, xs: np.ndarray, values: np.ndarray, bound: float | np.ndarray,
+    fail_note: str, pass_note: str,
 ) -> CheckResult:
     """The first node where |phi| is undefined, else the first largest excess."""
     undefined = np.isnan(values)
@@ -541,7 +542,7 @@ def validate(gen: Generator, grid_points: int = 4097, tol: float = 1e-9) -> Vali
     """Scan the three generator conditions on one grid sample.
 
     The sample reads phi' off the kinks, then phi at every node, the
-    endpoints 0.0 and 1.0 included; an undefined node fails, not raises.
+    endpoints 0.0 and 1.0 included; an undefined node is a fail entry.
     Verdicts are grid-level: a pass certifies the conditions at grid_points
     sample points within tol, nothing more.  The shipped builtins carry
     certified_valid=True because their validity is algebraic; the scan is
