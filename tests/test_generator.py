@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,11 +227,31 @@ def test_builtin_argument_rules():
         builtin("phi9")
 
 
+# name, order, label, kinks, exact integrals of phi and |phi|
+_BUILTIN_METADATA = [
+    ("phi1", None, "phi1", (0.5,), Fraction(1, 4), Fraction(1, 4)),
+    ("phi2", None, "phi2", (), Fraction(1, 6), Fraction(1, 6)),
+    ("phi3", None, "phi3", (), Fraction(0), Fraction(1, 16)),
+    ("phi4", None, "phi4", (), None, None),
+    ("phi5", 1, "phi5[n=1]", (), Fraction(1, 12), Fraction(1, 12)),
+    ("phi5", 2, "phi5[n=2]", (), Fraction(1, 6), Fraction(1, 6)),
+    ("phi5", 3, "phi5[n=3]", (0.16666666666666669, 0.8333333333333333),
+     Fraction(23, 108), Fraction(23, 108)),
+    ("phi5", 4, "phi5[n=4]", (0.25, 0.75), Fraction(11, 48), Fraction(11, 48)),
+    ("phi5", 16, "phi5[n=16]", (0.4375, 0.5625), Fraction(191, 768), Fraction(191, 768)),
+    ("phi6", 2, "phi6[n=2]", (), None, None),
+    ("phi6", 7, "phi6[n=7]", (), None, None),
+    ("phi6", 16, "phi6[n=16]", (), None, None),
+]
+
+
 def test_builtin_metadata():
-    for gen in ALL_BUILTINS:
-        assert gen.certified_valid
-    assert builtin("phi5", 4).n == 4
-    assert builtin("phi6", 7).label == "phi6[n=7]"
+    for name, n, label, kinks, integral, abs_integral in _BUILTIN_METADATA:
+        gen = builtin(name, n)
+        got = (gen.label, gen.n, gen.kinks, gen.certified_valid,
+               gen.exact_integral, gen.exact_abs_integral, gen.source)
+        assert got == (label, n, kinks, True, integral, abs_integral, None), name
+        assert type(gen.n) is type(n), name
 
 
 # ---------------------------------------------------------------------------
