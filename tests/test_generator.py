@@ -451,6 +451,17 @@ def _hand_built(label: str, phi, phi_prime=None) -> Generator:
                 _LIFTED_ENVELOPE),
         id="slope-band-and-endpoints",
     ),
+    pytest.param(
+        # a violation outside the band beats the undefined slopes inside it
+        _hand_built("steep-band", _lifted,
+                    with_hole(lambda x: 2.0 * builtin("phi2").phi_prime(x),
+                              lambda x: (0.3 < x) & (x < 0.4))),
+        _report("steep-band", _LIFTED_ENDPOINTS,
+                {"name": "derivative_bound", "verdict": "fail", "witness": [0.0, 2.0],
+                 "note": "|phi'| exceeds 1 + tol (symbolic derivative)"},
+                _LIFTED_ENVELOPE),
+        id="steep-slope-band-fails",
+    ),
 ])
 def test_endpoint_reports_of_hand_built_generators(gen, want):
     report = validate(gen)
