@@ -38,6 +38,7 @@ from .exprlang import (
     UnknownIdentifierError,
 )
 from .generator import (
+    BUILTIN_NAMES,
     MAX_TOL,
     Generator,
     GeneratorValidationError,
@@ -123,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group = sp.add_mutually_exclusive_group(required=True)
         group.add_argument(
             "--phi",
-            choices=["phi1", "phi2", "phi3", "phi4", "phi5", "phi6"],
+            choices=BUILTIN_NAMES,
             help="builtin generator family",
         )
         group.add_argument(

@@ -224,7 +224,7 @@ def tau_phi5(n: int, theta: float) -> float:
 
     Increases to theta/2 (the phi1 value) as n grows.
     """
-    if n < 1:
+    if not (n >= 1 and n % 1 == 0):  # refuses 2.5, nan and inf
         raise ValueError("n must be a positive integer")
     check_theta(theta)
     base = 0.25 - 1.0 / (3.0 * n * n)

@@ -213,18 +213,27 @@ def test_phi6_approaches_sharp_envelope():
 
 
 def test_builtin_argument_rules():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^phi5 requires an integer order n >= 1$"):
         builtin("phi5")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^phi5 requires an integer order n >= 1$"):
         builtin("phi5", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^phi6 requires an integer order n >= 2$"):
         builtin("phi6")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^phi6 requires an integer order n >= 2$"):
         builtin("phi6", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^phi2 does not take an order argument$"):
         builtin("phi2", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown builtin 'phi9'; expected one of \("):
         builtin("phi9")
+    # an order must be a whole number: 2.7 is not order 2
+    for bad in (2.5, 2.7, math.nan, math.inf, np.float64(3.5)):
+        with pytest.raises(ValueError, match=r"^phi5 requires an integer order n >= 1$"):
+            builtin("phi5", bad)
+        with pytest.raises(ValueError, match=r"^phi6 requires an integer order n >= 2$"):
+            builtin("phi6", bad)
+    for whole in (3, np.int64(3), np.int32(3), 3.0):
+        assert builtin("phi5", whole).n == 3 and type(builtin("phi5", whole).n) is int
+        assert builtin("phi6", whole).label == "phi6[n=3]"
 
 
 # name, order, label, kinks, exact integrals of phi and |phi|

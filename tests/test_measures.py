@@ -178,6 +178,10 @@ def test_tau_phi5_limits_to_sharp_envelope():
 def test_tau_phi5_argument_rules():
     with pytest.raises(ValueError):
         tau_phi5(0, 0.5)
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer$"):
+            tau_phi5(bad, 0.5)
+    assert tau_phi5(np.int64(3), 0.5) == tau_phi5(3, 0.5)
     with pytest.raises(ValueError):
         tau_phi5(3, 1.5)
 
