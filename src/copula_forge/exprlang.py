@@ -7,7 +7,7 @@ Grammar (user-facing), in one variable ``x``:
     unary  := '-' unary | power
     power  := atom (('^' | '**') unary)?          right-associative
     atom   := NUMBER | 'x' | 'pi' | 'e'
-            | ('sin' | 'cos' | 'abs' | 'sqrt') '(' expr ')'
+            | ('sin' | 'cos' | 'abs' | 'sqrt' | 'ln') '(' expr ')'
             | ('min' | 'max') '(' expr ',' expr ')'
             | '(' expr ')'
 
@@ -23,11 +23,10 @@ at its first call, as one step per distinct node; neither recurses.
 Derivatives are symbolic.  min, max and abs differentiate piecewise with the
 LEFT branch chosen on the tie set, carried by an internal selector node that
 prints as ``ifle(a, b, p, q)`` (p where a <= b, else q).  The power rule for
-a variable base and exponent needs a logarithm, carried by an internal
-``ln(t)`` node.  Both internal forms re-parse, so printing and parsing round
-trip for every expression this module can produce within the depth cap
-(a derivative can be deeper than its input), but neither is part of the
-advertised input grammar.
+a variable base and exponent takes a logarithm, an ``ln(t)`` node.  ``ifle``
+re-parses too, so printing and parsing round trip for every expression this
+module can produce within the depth cap (a derivative can be deeper than its
+input), but it is internal: it is not part of the advertised input grammar.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "EvaluationDomainError",
     "parse",
     "evaluate",
-    "evaluate_array",
     "compile_array",
     "differentiate",
     "to_source",
@@ -467,20 +465,15 @@ _RULES: dict[str, Callable[..., float | str]] = {
 _CHUNK = 8192  # points per pass, so memory is (live nodes) x _CHUNK at most
 
 
-def evaluate_array(expr: Expression, xs) -> np.ndarray:
-    """Evaluate expr at every point of xs, with NaN where it is undefined.
-
-    Each value is bit-identical to ``evaluate`` at that point, and NaN marks
-    exactly the points where ``evaluate`` raises EvaluationDomainError:
-    every value ``evaluate`` returns is finite, so NaN is free to carry the
-    domain mask.
-    """
-    return compile_array(expr)(xs)
-
-
 def compile_array(expr: Expression) -> Callable[..., np.ndarray]:
     """The array form of expr: it plans its steps (``_plan``) at its first call
-    and then only runs them.  ``compile_array(expr)(xs)`` is evaluate_array.
+    and then only runs them.
+
+    ``compile_array(expr)(xs)`` evaluates expr at every point of xs, with NaN
+    where it is undefined.  Each value is bit-identical to ``evaluate`` at
+    that point, and NaN marks exactly the points where ``evaluate`` raises
+    EvaluationDomainError: every value ``evaluate`` returns is finite, so NaN
+    is free to carry the domain mask.
     """
     steps: list[tuple] = []  # planned at the first call, in one assignment
 

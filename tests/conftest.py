@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from copula_forge.exprlang import EvaluationDomainError, Var, differentiate, evaluate_array, parse
+from copula_forge.exprlang import EvaluationDomainError, Var, compile_array, differentiate, parse
 from copula_forge.generator import Generator, from_expression
 from copula_forge.numerics import RandomStream
 
@@ -33,7 +33,7 @@ def _seeded_generators(count: int, seed: int) -> tuple[Generator, ...]:
         c = [2.0 * stream.next_float() - 1.0 for _ in range(4)]
         body = f"x*(1-x)*({c[0]!r} + {c[1]!r}*x + {c[2]!r}*x*x + {c[3]!r}*sin(pi*x))"
         slope = differentiate(parse(body))
-        peak = float(np.abs(evaluate_array(slope, nodes)).max())
+        peak = float(np.abs(compile_array(slope)(nodes)).max())
         scale = 0.8 / max(peak, 1e-6)
         out.append(from_expression(f"{scale!r}*{body}"))
     return tuple(out)

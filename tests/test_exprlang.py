@@ -28,7 +28,6 @@ from copula_forge.exprlang import (
     compile_array,
     differentiate,
     evaluate,
-    evaluate_array,
     parse,
     to_source,
 )
@@ -565,24 +564,24 @@ def test_evaluate_array_nan_marks_exactly_the_domain_errors(source):
     tree = parse(source)
     xs = np.concatenate([np.linspace(0.0, 1.0, 401), [0.5, 0.7, -0.0]])
     for t in (tree, differentiate(tree)):
-        assert_same_bits(evaluate_array(t, xs), _pointwise(t, xs))
+        assert_same_bits(compile_array(t)(xs), _pointwise(t, xs))
 
 
 @settings(max_examples=200, deadline=None)
 @given(tree=_trees)
 def test_evaluate_array_matches_evaluate_on_random_trees(tree):
     xs = np.linspace(-0.25, 1.25, 61)
-    assert_same_bits(evaluate_array(tree, xs), _pointwise(tree, xs))
+    assert_same_bits(compile_array(tree)(xs), _pointwise(tree, xs))
 
 
 def test_evaluate_array_spans_chunks_and_keeps_shape():
     tree = differentiate(parse("x*(1-x)*ln(1+x)/sqrt(x)"))
     xs = np.linspace(0.0, 1.0, 20001)  # more than two chunks
-    assert_same_bits(evaluate_array(tree, xs), _pointwise(tree, xs))
+    assert_same_bits(compile_array(tree)(xs), _pointwise(tree, xs))
     square = xs[:20000].reshape(100, 200)
     want = _pointwise(tree, xs[:20000]).reshape(100, 200)
-    assert_same_bits(evaluate_array(tree, square), want)
-    assert evaluate_array(tree, []).shape == (0,)
+    assert_same_bits(compile_array(tree)(square), want)
+    assert compile_array(tree)([]).shape == (0,)
 
 
 @pytest.mark.parametrize("top", [math.pi, 8192 * math.pi], ids=["pi", "8192pi"])
@@ -601,7 +600,7 @@ def test_array_sin_cos_equal_math_bit_for_bit(top):
 def test_evaluate_array_refuses_non_finite_points():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
-            evaluate_array(parse("x"), [0.5, bad])
+            compile_array(parse("x"))([0.5, bad])
 
 
 def test_evaluate_array_on_shared_subtrees():
@@ -611,7 +610,7 @@ def test_evaluate_array_on_shared_subtrees():
         tree = Unary("abs", Binary("-", tree, Num(0.01)))
     d1 = differentiate(tree)
     xs = np.linspace(0.0, 1.0, 7)
-    assert_same_bits(evaluate_array(d1, xs), _pointwise(d1, xs))
+    assert_same_bits(compile_array(d1)(xs), _pointwise(d1, xs))
 
 
 def test_evaluate_array_memory_does_not_grow_with_nodes_times_points():
@@ -623,7 +622,7 @@ def test_evaluate_array_memory_does_not_grow_with_nodes_times_points():
     xs = np.linspace(0.0, 1.0, 100_000)
     tracemalloc.start()
     try:
-        evaluate_array(tree, xs)
+        compile_array(tree)(xs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

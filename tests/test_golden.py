@@ -37,9 +37,9 @@ from conftest import random_valid_expression_generators
 from copula_forge.cli import main
 from copula_forge.exprlang import (
     EvaluationDomainError,
+    compile_array,
     differentiate,
     evaluate,
-    evaluate_array,
     parse,
 )
 
@@ -363,7 +363,7 @@ def rootless_seeded_expressions() -> list[str]:
     xs = np.arange(1, 4096) * (1.0 / 4096)
     out = []
     for text in seeded_expressions():
-        values = evaluate_array(parse(text), xs)
+        values = compile_array(parse(text))(xs)
         if (values > 0.0).all() or (values < 0.0).all():
             out.append(text)
     return out
@@ -1052,7 +1052,7 @@ def test_evaluate_array_matches_evaluate_on_the_validated_expressions():
     for text in seeded_expressions() + list(OPERATOR_EXPRESSIONS + EDGE_EXPRESSIONS):
         tree = parse(text)
         for label, t in (("phi", tree), ("phi'", differentiate(tree))):
-            got = evaluate_array(t, xs)
+            got = compile_array(t)(xs)
             for x, value in zip(xs.tolist(), got.tolist()):
                 try:
                     want = evaluate(t, x)
