@@ -407,11 +407,8 @@ def _first_ordered_pair(
     d: np.ndarray, breaks: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[int, int] | None:
     """The first (i, j) with i < j, in row-major order, where breaks(d[i] - d[j])."""
-    for i in range(d.size - 1):
-        hits = np.flatnonzero(breaks(d[i] - d[i + 1 :]))
-        if hits.size:
-            return i, i + 1 + int(hits[0])
-    return None
+    k = first_index(np.triu(breaks(np.subtract.outer(d, d)), 1))
+    return None if k is None else divmod(k, d.size)
 
 
 def oracle_tp2(cop: Copula) -> Verdict:
